@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .classspec import Caps, ModelClassSpec, _closed_subsets
-from .closure import PointedModel, cl, enumerate_DK, galois_equiv, verify_intersections
+from .classspec import Caps, ModelClassSpec
+from .closure import PointedModel, class_slice, enumerate_DK, galois_equiv, verify_intersections
 from .errors import (
     EmissionError,
     IntersectionFailure,
@@ -89,25 +88,22 @@ class ExpansionMap:
 
     def expand(self, n: FiniteStructure) -> FiniteStructure:
         """n with (a, b1..bk) in the k-th closure relation iff a lies in cl(b)."""
-        return _expand_cached(self, n)
+        return class_slice(self.spec, self.caps).expanded(self, n)
+
+    def build(self, sl, n: FiniteStructure) -> FiniteStructure:
+        rels = {name: n.rel(name) for name in n.vocab.relation_names()}
+        funs = {name: n.fun(name) for name in n.vocab.function_names()}
+        elems = sorted(n.universe)
+        for k in range(self.arity_cap + 1):
+            rels[closure_relation_name(k)] = {
+                (a, *tup)
+                for tup in itertools.product(elems, repeat=k)
+                for a in sl.cl(n, frozenset(tup)).structure.universe
+            }
+        return FiniteStructure(self.vocab, n.universe, rels, funs)
 
     def restrict(self, n_plus: FiniteStructure) -> FiniteStructure:
         return reduct(n_plus, self.spec.vocabulary)
-
-
-@lru_cache(maxsize=100_000)
-def _expand_cached(emap: ExpansionMap, n: FiniteStructure) -> FiniteStructure:
-    rels = {name: n.rel(name) for name in n.vocab.relation_names()}
-    funs = {name: n.fun(name) for name in n.vocab.function_names()}
-    elems = sorted(n.universe)
-    for k in range(emap.arity_cap + 1):
-        rows = set()
-        for tup in itertools.product(elems, repeat=k):
-            closed = cl(n, set(tup), emap.spec, emap.caps).structure
-            for a in closed.universe:
-                rows.add((a, *tup))
-        rels[closure_relation_name(k)] = rows
-    return FiniteStructure(emap.vocab, n.universe, rels, funs)
 
 
 def functorial_expansion(
@@ -129,12 +125,10 @@ def functorial_expansion(
             witness=witness,
         )
     emap = ExpansionMap(spec, arity_cap, vocab_plus, caps)
-    for n in spec.members(caps.size):
+    sl = class_slice(spec, caps)
+    for n in sl.members:
         n_plus = emap.expand(n)
-        for subset in _closed_subsets(n, caps):
-            m = n.induced(subset)
-            if not spec.contains(m) or not spec.le(m, n):
-                continue
+        for m in sl.strong(n):
             # one direction only: a strong part's expansion must embed;
             # the converse is false already for linear orders.
             if not emap.expand(m).is_substructure_of(n_plus):
@@ -177,13 +171,13 @@ class PairCatalog:
 def _catalog_for_pair(
     emap: ExpansionMap, m: int, k: int, dk: list[PointedModel]
 ) -> tuple[CatalogEntry, ...]:
-    spec, caps = emap.spec, emap.caps
+    sl = class_slice(emap.spec, emap.caps)
     entries: dict = {}
     for rep in dk:
         if len(rep.anchor) != m + k:
             continue
         m2 = rep.model
-        m1 = cl(m2, set(rep.anchor[:m]), spec, caps).structure
+        m1 = sl.cl(m2, frozenset(rep.anchor[:m])).structure
         m2_plus = emap.expand(m2)
         dec = decorated(m2_plus, (frozenset(m1.universe),))
         canon = normalize(dec)
@@ -250,8 +244,7 @@ def emit_aq_theory(
         arity_cap = caps.size
     if pair_cap is None:
         pair_cap = caps.size
-    members = spec.members(caps.size)
-    if not members:
+    if not class_slice(spec, caps).members:
         s1, s2 = _contradictory_sentences()
         vocab = expanded_vocabulary(spec.vocabulary, arity_cap)
         theory = Theory(f"{spec.name}-presentation", vocab, (s1, s2))
@@ -311,7 +304,8 @@ def verify_presentation(
         command=f"verify_presentation {spec.name}",
         caps={"size": caps.size, "arity_cap": arity_cap, "pair_cap": pair_cap},
     )
-    members = spec.members(caps.size)
+    sl = class_slice(spec, caps)
+    members = sl.members
     if not members:
         n_models = sum(
             1
@@ -364,10 +358,7 @@ def verify_presentation(
     pairs2 = 0
     for n in members:
         n_plus = emap.expand(n)
-        for subset in _closed_subsets(n, caps):
-            m = n.induced(subset)
-            if not spec.contains(m) or not spec.le(m, n):
-                continue
+        for m in sl.strong(n):
             pairs2 += 1
             m_plus = emap.expand(m)
             if not elem_F_star(m_plus, n_plus, fragment, UNBOUNDED):
@@ -420,9 +411,9 @@ def verify_presentation(
             checked_entries += 1
             base_plus = entry.target.base
             r = emap.restrict(base_plus)
-            genuine = spec.contains(r) and emap.expand(r) == base_plus
-            prefix_cl = cl(r, set(entry.witness[:m]), spec, emap.caps).structure
-            full_cl = cl(r, set(entry.witness), spec, emap.caps).structure
+            genuine = sl.contains(r) and emap.expand(r) == base_plus
+            prefix_cl = sl.cl(r, frozenset(entry.witness[:m])).structure
+            full_cl = sl.cl(r, frozenset(entry.witness)).structure
             if not genuine:
                 bad3.append(
                     structure_witness("catalog-target-not-expanded-member", base_plus)
@@ -451,14 +442,14 @@ def verify_presentation(
     pairs4 = 0
     for n in members:
         n_plus = emap.expand(n)
-        for subset in _closed_subsets(n, caps):
-            a = n_plus.induced(subset)
+        strong = set(sl.strong(n))
+        for part in sl.parts(n):
+            a = n_plus.induced(part.universe)
             if not models(a, emitted, UNBOUNDED):
                 continue
             pairs4 += 1
             lhs = bool(elem_F_star(a, n_plus, fragment, UNBOUNDED))
-            restricted = reduct(a, spec.vocabulary)
-            rhs = spec.contains(restricted) and bool(spec.le(restricted, n))
+            rhs = part in strong
             if lhs != rhs:
                 bad4.append((a, n, lhs, rhs))
     report.add(
@@ -503,21 +494,25 @@ def tarski_universal_theory(
     vocab = spec.vocabulary
     if vocab.functions:
         raise SignatureError("universal-theory extraction requires a relational vocabulary")
-    for n in spec.members(caps.size):
-        for subset in _closed_subsets(n, caps):
-            m = n.induced(subset)
-            if not spec.contains(m):
+    sl = class_slice(spec, caps)
+    for n in sl.members:
+        for m in sl.parts(n):
+            if not sl.contains(m):
                 raise UniversalityError(
                     "class is not closed under induced substructures",
-                    witness=(n, sorted(subset)),
+                    witness=(n, sorted(m.universe)),
                 )
     excluded: list[FiniteStructure] = []
     for s in enumerate_structures(vocab, caps.size, up_to_iso=True):
         if not spec.contains(s):
             excluded.append(s)
+    keys_below = {
+        size: {x.key for x in excluded if x.size < size}
+        for size in {s.size for s in excluded}
+    }
     minimal = []
     for s in excluded:
-        keys = {x.key for x in excluded if x.size < s.size}
+        keys = keys_below[s.size]
         proper_excluded = False
         for k in range(s.size):
             for combo in itertools.combinations(sorted(s.universe), k):
@@ -534,7 +529,7 @@ def tarski_universal_theory(
         normalize(m).key
         for m in enumerate_models(theory, max_size=caps.size, up_to_iso=True)
     }
-    wanted = {normalize(m).key for m in spec.members(caps.size)}
+    wanted = {normalize(m).key for m in sl.members}
     if produced != wanted:
         raise EmissionError(
             "universal theory does not reproduce the class at the working cap"
@@ -713,22 +708,19 @@ class MorleyizationMap:
     caps: Caps = Caps()
 
     def expand(self, n: FiniteStructure) -> FiniteStructure:
-        return _morley_expand_cached(self, n)
+        return class_slice(self.spec, self.caps).expanded(self, n)
 
-
-@lru_cache(maxsize=100_000)
-def _morley_expand_cached(mmap: MorleyizationMap, n: FiniteStructure) -> FiniteStructure:
-    rels = {name: n.rel(name) for name in n.vocab.relation_names()}
-    funs = {name: n.fun(name) for name in n.vocab.function_names()}
-    elems = sorted(n.universe)
-    for name, rep in mmap.reps:
-        length = len(rep.anchor)
-        rows = set()
-        for tup in itertools.product(elems, repeat=length):
-            if galois_equiv(PointedModel(n, tup), rep, mmap.spec, mmap.caps):
-                rows.add(tup)
-        rels[name] = rows
-    return FiniteStructure(mmap.vocab, n.universe, rels, funs)
+    def build(self, sl, n: FiniteStructure) -> FiniteStructure:
+        rels = {name: n.rel(name) for name in n.vocab.relation_names()}
+        funs = {name: n.fun(name) for name in n.vocab.function_names()}
+        elems = sorted(n.universe)
+        for name, rep in self.reps:
+            rels[name] = {
+                tup
+                for tup in itertools.product(elems, repeat=len(rep.anchor))
+                if galois_equiv(PointedModel(n, tup), rep, self.spec, self.caps)
+            }
+        return FiniteStructure(self.vocab, n.universe, rels, funs)
 
 
 def galois_morleyization(
@@ -770,18 +762,17 @@ def galois_morleyization(
         command=f"galois_morleyization {spec.name}",
         caps={"size": caps.size, "arity_cap": arity_cap},
     )
+    sl = class_slice(spec, caps)
     bad = []
     pairs = 0
-    for n in spec.members(caps.size):
+    for n in sl.members:
         n_plus = mmap.expand(n)
-        for subset in _closed_subsets(n, caps):
-            m = n.induced(subset)
-            if not spec.contains(m):
-                continue
+        strong = set(sl.strong(n))
+        for m in sl.member_parts(n):
             pairs += 1
             m_plus = mmap.expand(m)
             embedded = m_plus.is_substructure_of(n_plus)
-            in_order = bool(spec.le(m, n))
+            in_order = m in strong
             if embedded != in_order:
                 bad.append((m, n, embedded, in_order))
     report.add(

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import sexpr
-from .errors import CapacityError, ParseError, ShapeError
+from .errors import ParseError, ShapeError
 from .reports import (
     FAIL,
     NOT_FINITELY_TESTABLE,
     PASS,
     VerificationReport,
     structure_witness,
-    subset_witness,
 )
 from .semantics import ElemReport, elem_F_star, enumerate_models, models
 from .structures import (
@@ -64,7 +63,15 @@ class DefinedClass:
 
     def members(self, max_size: int | None = None) -> tuple[FiniteStructure, ...]:
         cap = self.size_cap if max_size is None else min(max_size, self.size_cap)
-        return _defined_members(self, cap)
+        return tuple(
+            enumerate_models(
+                self.theory,
+                max_size=cap,
+                kappa=self.kappa,
+                up_to_iso=True,
+                hereditary=self.hereditary,
+            )
+        )
 
     def contains(self, n: FiniteStructure) -> bool:
         if n.vocab != self.vocabulary or n.size > self.size_cap:
@@ -78,19 +85,6 @@ class DefinedClass:
 @lru_cache(maxsize=256)
 def _fragment_of(theory: Theory) -> Fragment:
     return subformula_closure(theory)
-
-
-@lru_cache(maxsize=64)
-def _defined_members(spec: DefinedClass, cap: int) -> tuple[FiniteStructure, ...]:
-    return tuple(
-        enumerate_models(
-            spec.theory,
-            max_size=cap,
-            kappa=spec.kappa,
-            up_to_iso=True,
-            hereditary=spec.hereditary,
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -161,30 +155,19 @@ class ExplicitClass:
 ModelClassSpec = DefinedClass | ExplicitClass
 
 
-def _closed_subsets(n: FiniteStructure, caps: Caps):
-    """Function-closed subsets of the universe, smallest first, deterministic."""
-    elems = sorted(n.universe)
-    if 2 ** len(elems) > caps.subset_limit:
-        raise CapacityError(
-            f"2^{len(elems)} subsets exceed the cap", count=2 ** len(elems), limit=caps.subset_limit
-        )
-    for k in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, k):
-            subset = frozenset(combo)
-            if n.is_closed_subset(subset):
-                yield subset
-
-
 def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> VerificationReport:
     """Finite slice of the class axioms: order laws, coherence, renaming closure.
 
     Chain and size-bound axioms quantify over infinite objects and are
     reported as not finitely testable.
     """
+    from .closure import class_slice
+
     report = VerificationReport(
         command=f"check_class_properties {spec.name}", caps={"size": caps.size}
     )
-    members = spec.members(caps.size)
+    sl = class_slice(spec, caps)
+    members = sl.members
 
     refl_bad = [n for n in members if not spec.le(n, n)]
     report.add(
@@ -194,17 +177,11 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
         [structure_witness("member", n) for n in refl_bad[:3]],
     )
 
-    sub_pairs: list[tuple[FiniteStructure, FiniteStructure]] = []
-    for n in members:
-        for subset in _closed_subsets(n, caps):
-            m = n.induced(subset)
-            if spec.contains(m):
-                sub_pairs.append((m, n))
-
+    sub_pairs = [(m, n) for n in members for m in sl.member_parts(n)]
     anti_bad = [
         (m, n)
         for m, n in sub_pairs
-        if m != n and spec.le(m, n) and spec.le(n, m)
+        if m != n and sl.le(m, n) and sl.le(n, m)
     ]
     report.add(
         "order-antisymmetric",
@@ -213,52 +190,14 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
         [structure_witness("pair-member", m) for m, _ in anti_bad[:3]],
     )
 
-    trans_bad = []
-    coher_bad = []
-    triples = 0
-    for n2 in members:
-        for s1 in _closed_subsets(n2, caps):
-            m1 = n2.induced(s1)
-            if not spec.contains(m1):
-                continue
-            le_m1_n2 = bool(spec.le(m1, n2))
-            for s0 in _closed_subsets(m1, caps):
-                m0 = m1.induced(s0)
-                if not spec.contains(m0):
-                    continue
-                triples += 1
-                if le_m1_n2 and spec.le(m0, m1) and not spec.le(m0, n2):
-                    trans_bad.append((m0, m1, n2))
-                if le_m1_n2 and spec.le(m0, n2) and not spec.le(m0, m1):
-                    coher_bad.append((m0, m1, n2))
-    report.add(
-        "order-transitive",
-        FAIL if trans_bad else PASS,
-        {"triples": triples},
-        [
-            w
-            for m0, m1, n2 in trans_bad[:2]
-            for w in (
-                structure_witness("inner", m0),
-                structure_witness("middle", m1),
-                structure_witness("outer", n2),
-            )
-        ],
-    )
-    report.add(
-        "coherence",
-        FAIL if coher_bad else PASS,
-        {"triples": triples},
-        [
-            w
-            for m0, m1, n2 in coher_bad[:2]
-            for w in (
-                structure_witness("inner", m0),
-                structure_witness("middle", m1),
-                structure_witness("outer", n2),
-            )
-        ],
-    )
+    triples = _triples(sl)
+    trans_bad = [
+        (m0, m1, n2)
+        for m0, m1, n2 in triples
+        if sl.le(m1, n2) and sl.le(m0, m1) and not sl.le(m0, n2)
+    ]
+    _add_triple_check(report, "order-transitive", len(triples), trans_bad)
+    report.checks += check_coherence(spec, caps).checks
 
     not_sub = [
         (m, n)
@@ -302,6 +241,51 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
         note="the size-bound axiom concerns infinite cardinals; caps stand in",
     )
     return report
+
+
+def check_coherence(spec: ModelClassSpec, caps: Caps = Caps()) -> VerificationReport:
+    """The coherence axiom on its own: m0 <= n2 and m1 <= n2 give m0 <= m1."""
+    from .closure import class_slice
+
+    report = VerificationReport(
+        command=f"check_coherence {spec.name}", caps={"size": caps.size}
+    )
+    sl = class_slice(spec, caps)
+    triples = _triples(sl)
+    bad = [
+        (m0, m1, n2)
+        for m0, m1, n2 in triples
+        if sl.le(m1, n2) and sl.le(m0, n2) and not sl.le(m0, m1)
+    ]
+    _add_triple_check(report, "coherence", len(triples), bad)
+    return report
+
+
+def _triples(sl) -> list[tuple[FiniteStructure, FiniteStructure, FiniteStructure]]:
+    """(m0, m1, n2): a member part m0 of a member part m1 of a member n2."""
+    return [
+        (m0, m1, n2)
+        for n2 in sl.members
+        for m1 in sl.member_parts(n2)
+        for m0 in sl.member_parts(m1)
+    ]
+
+
+def _add_triple_check(report: VerificationReport, name: str, triples: int, bad) -> None:
+    report.add(
+        name,
+        FAIL if bad else PASS,
+        {"triples": triples},
+        [
+            w
+            for m0, m1, n2 in bad[:2]
+            for w in (
+                structure_witness("inner", m0),
+                structure_witness("middle", m1),
+                structure_witness("outer", n2),
+            )
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

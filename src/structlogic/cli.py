@@ -17,7 +17,7 @@ import time
 
 from . import formats
 from .axiomatizer import emit_aq_theory, verify_presentation
-from .classspec import Caps, check_class_properties, load_class_spec
+from .classspec import Caps, check_class_properties, check_coherence, load_class_spec
 from .closure import check_cl_coherence, cl, enumerate_DK, verify_intersections
 from .errors import (
     EmissionError,
@@ -27,18 +27,13 @@ from .errors import (
     UniversalityError,
 )
 from .reports import FAIL, VerificationReport
-from .semantics import elem_F, elem_F_star, enumerate_models, models
+from .semantics import elem_F, elem_F_star, enumerate_models
 from .semantics import eval as eval_formula
-from .structures import enumerate_structures
 from .syntax import (
     UNBOUNDED,
-    And,
-    Exists,
-    Forall,
     KappaThreshold,
-    Not,
-    Or,
     QStruct,
+    children,
     free_vars,
     subformula_closure,
 )
@@ -128,15 +123,7 @@ def _subformula_walk(phi):
             continue
         seen.add(id(node))
         yield node
-        if isinstance(node, Not):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or)):
-            stack.extend(reversed(node.items))
-        elif isinstance(node, (Exists, Forall)):
-            stack.append(node.body)
-        elif isinstance(node, QStruct):
-            stack.extend(reversed(node.psis))
-            stack.append(node.phi)
+        stack.extend(reversed(children(node)))
 
 
 def cli_eval(args) -> int:
@@ -156,41 +143,14 @@ def cli_eval(args) -> int:
     return 0 if value else 1
 
 
-# worker state for --jobs; set per-process by the pool initializer
-_WORKER: dict = {}
-
-
-def _init_models_worker(theory, kappa) -> None:
-    _WORKER["theory"] = theory
-    _WORKER["kappa"] = kappa
-
-
-def _models_probe(candidate):
-    return candidate if models(candidate, _WORKER["theory"], _WORKER["kappa"]) else None
-
-
 def cli_models(args) -> int:
     theory = formats.parse_theory(_read(args.theory))
     vocab = formats.parse_vocab(_read(args.vocab)) if args.vocab else theory.vocabulary
     kappa = _parse_kappa(args.kappa)
     count = 0
-    if args.jobs > 1:
-        from multiprocessing import get_context
-
-        candidates = enumerate_structures(vocab, args.max_size, up_to_iso=args.up_to_iso)
-        ctx = get_context("fork")
-        with ctx.Pool(
-            args.jobs, initializer=_init_models_worker, initargs=(theory, kappa)
-        ) as pool:
-            # imap keeps the enumeration order, so the merge is deterministic
-            for hit in pool.imap(_models_probe, candidates, chunksize=8):
-                if hit is not None:
-                    print(formats.print_structure(hit))
-                    count += 1
-    else:
-        for m in enumerate_models(theory, vocab, args.max_size, kappa, args.up_to_iso):
-            print(formats.print_structure(m))
-            count += 1
+    for m in enumerate_models(theory, vocab, args.max_size, kappa, args.up_to_iso):
+        print(formats.print_structure(m))
+        count += 1
     print(f"count {count}")
     return 0
 
@@ -234,10 +194,10 @@ def cli_verify(args) -> int:
         report = verify_intersections(spec, caps)
     elif args.check == "cl-coherence":
         report = check_cl_coherence(spec, caps)
+    elif args.check == "coherence":
+        report = check_coherence(spec, caps)
     else:
         report = check_class_properties(spec, caps)
-        if args.check == "coherence":
-            report.checks = [c for c in report.checks if c.name == "coherence"]
     report.command = f"verify --check {args.check} {os.path.basename(args.spec)}"
     return _emit_report(report)
 
@@ -254,7 +214,8 @@ def cli_emit(args) -> int:
     except (IntersectionFailure, EmissionError) as err:
         print(f"emission failed: {err}", file=sys.stderr)
         return 1
-    digest = hashlib.sha256(open(args.spec, "rb").read()).hexdigest()
+    with open(args.spec, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
     counts = json.dumps(catalog.counts(), sort_keys=True)
     header = (
         f"; source {os.path.basename(args.spec)} sha256 {digest}\n"
@@ -368,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocabulary file; default: the theory's")
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the sweep")
     common(p, kappa=True)
     p.set_defaults(fn=cli_models)
 
@@ -443,6 +403,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
     if args.timing:
         print(f"wall_ms {int((time.monotonic() - start) * 1000)}", file=sys.stderr)

@@ -3,17 +3,19 @@
 The closure of a subset is computed exactly as defined: intersect the
 universes of every strong submodel containing the subset.  A class "has
 intersections" at an instance when that intersection is itself a strong
-submodel; verification sweeps report every instance where it is not.
+submodel; verification sweeps report every instance where it is not.  All
+of this is kept per (class, caps) in one ClassSlice, which the closure,
+class-axiom, presentation and anchored-type sweeps query.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .classspec import Caps, ModelClassSpec
-from .errors import ArityError, DomainError
+from .errors import ArityError, CapacityError, DomainError
 from .reports import (
     FAIL,
     PASS,
@@ -42,6 +44,99 @@ class ClosureResult:
     is_strong: bool
 
 
+def _seeds(n: FiniteStructure):
+    """Every subset of the universe as a sorted tuple, smallest first."""
+    elems = sorted(n.universe)
+    for k in range(len(elems) + 1):
+        yield from itertools.combinations(elems, k)
+
+
+def _closed_subsets(n: FiniteStructure, caps: Caps):
+    """Function-closed subsets of the universe, smallest first, deterministic."""
+    if 2 ** n.size > caps.subset_limit:
+        raise CapacityError(
+            f"2^{n.size} subsets exceed the cap", count=2 ** n.size, limit=caps.subset_limit
+        )
+    for combo in _seeds(n):
+        subset = frozenset(combo)
+        if n.is_closed_subset(subset):
+            yield subset
+
+
+class ClassSlice:
+    """The strong-submodel lattice of one class at one set of caps.
+
+    Everything is computed on first use and then kept: the spec's contains
+    and le verdicts, one spec call per literal argument and never inferred
+    from other verdicts; per structure, its closed induced parts (smallest
+    first), those of them in the class, those strong in it, the closure of
+    each seed, and its expansions by closure data; and the class members up
+    to the size cap.  A single closure query never enumerates the members.
+    """
+
+    def __init__(self, spec: ModelClassSpec, caps: Caps):
+        self.spec = spec
+        self.caps = caps
+        self._kept: dict = {}
+
+    def _keep(self, key, compute):
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
+    @cached_property
+    def members(self) -> tuple[FiniteStructure, ...]:
+        return self.spec.members(self.caps.size)
+
+    def contains(self, m: FiniteStructure) -> bool:
+        return self._keep(("contains", m), lambda: bool(self.spec.contains(m)))
+
+    def le(self, m: FiniteStructure, n: FiniteStructure) -> bool:
+        return self._keep(("le", m, n), lambda: bool(self.spec.le(m, n)))
+
+    def parts(self, n: FiniteStructure) -> tuple[FiniteStructure, ...]:
+        """Induced substructures of n on its closed subsets, smallest first."""
+        return self._keep(
+            ("parts", n), lambda: tuple(n.induced(s) for s in _closed_subsets(n, self.caps))
+        )
+
+    def member_parts(self, n: FiniteStructure) -> tuple[FiniteStructure, ...]:
+        """The parts of n that are in the class."""
+        return self._keep(
+            ("member-parts", n), lambda: tuple(m for m in self.parts(n) if self.contains(m))
+        )
+
+    def strong(self, n: FiniteStructure) -> tuple[FiniteStructure, ...]:
+        """The member parts of n that sit below n in the class order."""
+        return self._keep(
+            ("strong", n), lambda: tuple(m for m in self.member_parts(n) if self.le(m, n))
+        )
+
+    def cl(self, n: FiniteStructure, a: frozenset[int]) -> ClosureResult:
+        """Intersection of the strong parts of n that contain a."""
+
+        def closure():
+            universes = [m.universe for m in self.strong(n)]
+            inter = n.universe.intersection(*(u for u in universes if a <= u))
+            return ClosureResult(n.induced(inter), inter in universes)
+
+        return self._keep(("cl", n, a), closure)
+
+    def expanded(self, expansion, n: FiniteStructure) -> FiniteStructure:
+        """expansion.build(self, n), built once per (expansion, n).
+
+        One object per expanded structure lets the evaluator's caches, keyed
+        by structure, match it by identity instead of comparing every row.
+        """
+        return self._keep(("expanded", expansion, n), lambda: expansion.build(self, n))
+
+
+@lru_cache(maxsize=16)
+def class_slice(spec: ModelClassSpec, caps: Caps = Caps()) -> ClassSlice:
+    """The one lattice kept for (spec, caps); the least recently used go first."""
+    return ClassSlice(spec, caps)
+
+
 def strong_submodels(
     n: FiniteStructure, spec: ModelClassSpec, caps: Caps = Caps()
 ) -> list[FiniteStructure]:
@@ -49,20 +144,7 @@ def strong_submodels(
 
     n itself is always included (class order is reflexive on members).
     """
-    return list(_strong_submodels_cached(n, spec, caps.subset_limit))
-
-
-@lru_cache(maxsize=50_000)
-def _strong_submodels_cached(n, spec, subset_limit) -> tuple[FiniteStructure, ...]:
-    from .classspec import _closed_subsets
-
-    caps = Caps(subset_limit=subset_limit)
-    out = []
-    for subset in _closed_subsets(n, caps):
-        m = n.induced(subset)
-        if spec.contains(m) and spec.le(m, n):
-            out.append(m)
-    return tuple(out)
+    return list(class_slice(spec, caps).strong(n))
 
 
 def cl(
@@ -75,18 +157,7 @@ def cl(
     a = frozenset(a)
     if not a <= n.universe:
         raise DomainError("closure seed leaves the universe")
-    return _cl_cached(n, a, spec, caps.subset_limit)
-
-
-@lru_cache(maxsize=200_000)
-def _cl_cached(n, a, spec, subset_limit) -> ClosureResult:
-    subs = _strong_submodels_cached(n, spec, subset_limit)
-    universes = [frozenset(m.universe) for m in subs]
-    inter = frozenset(n.universe)
-    for u in universes:
-        if a <= u:
-            inter &= u
-    return ClosureResult(n.induced(inter), inter in universes)
+    return class_slice(spec, caps).cl(n, a)
 
 
 def verify_intersections(spec: ModelClassSpec, caps: Caps = Caps()) -> VerificationReport:
@@ -94,20 +165,17 @@ def verify_intersections(spec: ModelClassSpec, caps: Caps = Caps()) -> Verificat
     report = VerificationReport(
         command=f"verify_intersections {spec.name}", caps={"size": caps.size}
     )
-    instances = 0
+    sl = class_slice(spec, caps)
+    instances = [(n, seed) for n in sl.members for seed in _seeds(n)]
     bad = []
-    for n in spec.members(caps.size):
-        elems = sorted(n.universe)
-        for k in range(len(elems) + 1):
-            for combo in itertools.combinations(elems, k):
-                instances += 1
-                result = cl(n, combo, spec, caps)
-                if not result.is_strong:
-                    bad.append((n, combo, result.structure))
+    for n, seed in instances:
+        result = sl.cl(n, frozenset(seed))
+        if not result.is_strong:
+            bad.append((n, seed, result.structure))
     report.add(
         "intersections",
         FAIL if bad else PASS,
-        {"instances": instances, "members": len(spec.members(caps.size))},
+        {"instances": len(instances), "members": len(sl.members)},
         [
             w
             for n, combo, closed in bad[:3]
@@ -126,29 +194,21 @@ def check_cl_coherence(spec: ModelClassSpec, caps: Caps = Caps()) -> Verificatio
     report = VerificationReport(
         command=f"check_cl_coherence {spec.name}", caps={"size": caps.size}
     )
-    from .classspec import _closed_subsets
-
-    pairs = 0
+    sl = class_slice(spec, caps)
+    pairs = [(m, n) for n in sl.members for m in sl.strong(n)]
     instances = 0
     bad = []
-    for n in spec.members(caps.size):
-        for subset in _closed_subsets(n, caps):
-            m = n.induced(subset)
-            if not spec.contains(m) or not spec.le(m, n):
-                continue
-            pairs += 1
-            elems = sorted(m.universe)
-            for k in range(len(elems) + 1):
-                for combo in itertools.combinations(elems, k):
-                    instances += 1
-                    in_m = cl(m, combo, spec, caps).structure
-                    in_n = cl(n, combo, spec, caps).structure
-                    if in_m != in_n:
-                        bad.append((m, n, combo, in_m, in_n))
+    for m, n in pairs:
+        for combo in _seeds(m):
+            instances += 1
+            in_m = sl.cl(m, frozenset(combo)).structure
+            in_n = sl.cl(n, frozenset(combo)).structure
+            if in_m != in_n:
+                bad.append((m, n, combo, in_m, in_n))
     report.add(
         "cl-coherence",
         FAIL if bad else PASS,
-        {"pairs": pairs, "instances": instances},
+        {"pairs": len(pairs), "instances": instances},
         [
             w
             for m, n, combo, in_m, in_n in bad[:2]
@@ -194,12 +254,13 @@ def enumerate_DK(
     Each representative is shrunk to its own closure and renamed canonically;
     output is sorted by anchor length, then by canonical key.
     """
+    sl = class_slice(spec, caps)
     seen: dict = {}
-    for n in spec.members(caps.size):
+    for n in sl.members:
         elems = sorted(n.universe)
         for length in range(max_tuple_len + 1):
             for anchor in itertools.product(elems, repeat=length):
-                closed = cl(n, set(anchor), spec, caps).structure
+                closed = sl.cl(n, frozenset(anchor)).structure
                 canon = _pointed_key(closed, anchor)
                 seen.setdefault((length, canon.key), canon)
     out = []
@@ -208,7 +269,3 @@ def enumerate_DK(
         out.append(PointedModel(canon.base, anchor))
     return out
 
-
-def clear_caches() -> None:
-    _strong_submodels_cached.cache_clear()
-    _cl_cached.cache_clear()

@@ -54,12 +54,36 @@ def test_eval_true_false_exit_codes(chain3, lt_formula, capsys):
 
 
 def test_eval_trace_lines_precede_verdict(chain3, tmp_path, capsys):
-    phi = _write(tmp_path, "phi.sexp", "(and (rel lt x y) (not (rel lt y x)))")
-    assert main(["eval", chain3, phi, "--assign", "x=0,y=2", "--trace"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "true"
-    assert lines[0].startswith("trace ")
-    assert "trace true (rel lt x y)" in lines
+    # pre-order, children left to right, a structure quantifier's main
+    # matrix before its side formulas; only subformulas whose free
+    # variables the assignment covers get a line
+    target = "(structure (vocab (rel lt 2)) (universe 2) (rel lt (0 1))) (subsets (0))"
+    exists = "(exists z (and (rel lt z y) (rel lt y x)))"
+    q = f"(qstruct {target} v (u) (and (rel lt v y) (rel lt x x)) ((and (rel lt u x) (rel lt y y))))"
+    text = f"(and (rel lt x y) {exists} {q})"
+    phi = _write(tmp_path, "phi.sexp", text)
+    assert main(["eval", chain3, phi, "--assign", "x=0,y=2", "--trace"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"trace false {text}",
+        "trace true (rel lt x y)",
+        f"trace false {exists}",
+        "trace false (rel lt y x)",
+        f"trace false {q}",
+        "trace false (rel lt x x)",
+        "trace false (rel lt y y)",
+        "false",
+    ]
+
+
+def test_deeply_nested_formula_is_an_input_error(chain3, tmp_path, capsys):
+    depth = 2000
+    phi = _write(tmp_path, "deep.sexp", "(not " * depth + "(rel lt x y)" + ")" * depth)
+    for argv in (["eval", chain3, phi], ["translate", phi, "--mode", "univ-gen"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_parse_error_exits_2(chain3, tmp_path, capsys):
@@ -96,12 +120,11 @@ def test_models_sweep_and_determinism(lin_theory, capsys):
     assert len(lines) == 5
 
 
-def test_models_jobs_merge_matches_serial(lin_theory, capsys):
-    serial = ["models", lin_theory, "--max-size", "3", "--up-to-iso"]
-    assert main(serial) == 0
-    expected = capsys.readouterr().out
-    assert main(serial + ["--jobs", "2"]) == 0
-    assert capsys.readouterr().out == expected
+def test_models_jobs_is_a_usage_error(lin_theory, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["models", lin_theory, "--max-size", "3", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_elem_star_accepts_initial_segment(chain2, chain3, lin_theory, capsys):
@@ -159,12 +182,13 @@ def test_verify_intersections_failure_exits_1(capsys):
     assert "(universe (" in out  # witness keeps its original labels
 
 
+@pytest.mark.filterwarnings("error")
 def test_emit_writes_reparseable_theory(tmp_path, capsys):
-    out_path = str(tmp_path / "emitted.sexp")
-    assert main(["emit", LIN, "--caps", "3", "--out", out_path]) == 0
+    out_path = tmp_path / "emitted.sexp"
+    assert main(["emit", LIN, "--caps", "3", "--out", str(out_path)]) == 0
     summary = capsys.readouterr().out
     assert summary.startswith("sentences 16 catalog ")
-    text = open(out_path, encoding="utf-8").read()
+    text = out_path.read_text(encoding="utf-8")
     assert text.startswith("; source linear-orders.sexp sha256 ")
     theory = formats.parse_theory(text)
     assert len(theory.sentences) == 16

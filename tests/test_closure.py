@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from structlogic.classspec import Caps
+from structlogic.classspec import Caps, DefinedClass
 from structlogic.closure import (
     PointedModel,
     cl,
     check_cl_coherence,
+    class_slice,
     enumerate_DK,
     galois_equiv,
     strong_submodels,
@@ -66,6 +67,50 @@ def test_cl_monotone_and_idempotent():
 def test_cl_seed_must_lie_inside():
     with pytest.raises(DomainError):
         cl(chain(2), {7}, lin(), CAPS)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("spec_name", sorted(BUILDERS))
+def test_class_slice_matches_brute_force_closure(spec_name, size):
+    # closure by definition: intersect the universes of every closed subset
+    # whose induced part is a member and sits below n by spec.le itself;
+    # broken-intersections has a closure that is not strong only at size 4
+    spec = BUILDERS[spec_name]()
+    sl = class_slice(spec, Caps(size=size))
+    assert sl.members == tuple(spec.members(size))
+    for n in spec.members(size):
+        elems = sorted(n.universe)
+        subsets = [
+            frozenset(c)
+            for k in range(len(elems) + 1)
+            for c in itertools.combinations(elems, k)
+        ]
+        strong = [
+            u
+            for u in subsets
+            if n.is_closed_subset(u)
+            and spec.contains(n.induced(u))
+            and spec.le(n.induced(u), n)
+        ]
+        assert [m.universe for m in sl.strong(n)] == strong
+        for seed in subsets:
+            inter = frozenset(n.universe)
+            for u in strong:
+                if seed <= u:
+                    inter &= u
+            result = sl.cl(n, seed)
+            assert result.structure == n.induced(inter)
+            assert result.is_strong == (inter in strong)
+
+
+def test_one_closure_query_leaves_the_members_alone(monkeypatch):
+    def members(self, max_size=None):
+        raise AssertionError("a closure query enumerated the class")
+
+    monkeypatch.setattr(DefinedClass, "members", members)
+    class_slice.cache_clear()
+    result = cl(chain(3), {1}, lin(), CAPS)
+    assert result.structure.universe == frozenset({0, 1})
 
 
 def test_verify_intersections_passes_on_linear_orders():
