@@ -51,9 +51,13 @@ from .syntax import (
     UNBOUNDED,
     Var,
     and_,
+    forall_prefix,
     is_forall_qstruct,
     or_,
     qstruct,
+    quantify,
+    rebuild,
+    scopes,
     subformula_closure,
 )
 from .translate import univ_gen_rewrite
@@ -193,10 +197,7 @@ def _reflexivity_sentence(n: int, k: int) -> Formula:
     atom = Atomic(
         closure_relation_name(n), (Var(zvars[k]), *[Var(z) for z in zvars])
     )
-    body: Formula = atom
-    for z in reversed(zvars):
-        body = Forall(z, body)
-    return univ_gen_rewrite(body)
+    return univ_gen_rewrite(quantify(Forall, zvars, atom))
 
 
 def _pair_sentence(m: int, k: int, entries: tuple[CatalogEntry, ...]) -> Formula:
@@ -212,10 +213,7 @@ def _pair_sentence(m: int, k: int, entries: tuple[CatalogEntry, ...]) -> Formula
     disjuncts = [
         qstruct(entry.target, "x", ("y",), phi, (psi,)) for entry in entries
     ]
-    body: Formula = or_(*disjuncts)
-    for v in reversed(zvars + wvars):
-        body = Forall(v, body)
-    return body
+    return quantify(Forall, zvars + wvars, or_(*disjuncts))
 
 
 def _contradictory_sentences() -> tuple[Formula, Formula]:
@@ -339,7 +337,7 @@ def verify_presentation(
     for n in members:
         n_plus = emap.expand(n)
         for s in emitted.sentences:
-            if not _eval_sentence(n_plus, s):
+            if not eval_formula(n_plus, s, {}, UNBOUNDED):
                 bad1.append((n, s))
                 break
     report.add(
@@ -473,10 +471,6 @@ def verify_presentation(
     return report
 
 
-def _eval_sentence(n_plus: FiniteStructure, s: Formula) -> bool:
-    return eval_formula(n_plus, s, {}, UNBOUNDED)
-
-
 # ---------------------------------------------------------------------------
 # universal classes
 
@@ -557,10 +551,7 @@ def _forbidden_diagram(s: FiniteStructure) -> Formula:
             lits.append(atom if row in rows else Not(atom))
     if not lits:
         lits.append(Equal(Var(names[elems[0]]), Var(names[elems[0]])))
-    body: Formula = Not(and_(*lits))
-    for e in reversed(elems):
-        body = Forall(names[e], body)
-    return body
+    return quantify(Forall, [names[e] for e in elems], Not(and_(*lits)))
 
 
 _ALWAYS_FALSE = object()
@@ -585,11 +576,7 @@ def tarski_specialize(
             witnesses[(pair, entry.target.key)] = entry.witness
     sentences = []
     for s in emitted.sentences:
-        prefix: list[str] = []
-        body: Formula = s
-        while isinstance(body, Forall):
-            prefix.append(body.var)
-            body = body.body
+        prefix, body = forall_prefix(s)
         disjuncts = body.items if isinstance(body, Or) else (body,)
         new_disjuncts = []
         trivially_true = False
@@ -605,10 +592,7 @@ def tarski_specialize(
             continue
         if not new_disjuncts:
             raise EmissionError("a sentence specialized to an empty disjunction")
-        out: Formula = or_(*new_disjuncts)
-        for v in reversed(prefix):
-            out = Forall(v, out)
-        sentences.append(out)
+        sentences.append(quantify(Forall, prefix, or_(*new_disjuncts)))
     return Theory(f"{emitted.name}-specialized", base_vocab, tuple(sentences))
 
 
@@ -683,15 +667,10 @@ def _replace_closure_atoms(phi: Formula) -> Formula:
             if not rest:
                 return Not(Equal(head, head))
             return or_(*[Equal(head, t) for t in rest])
-    if isinstance(phi, (Atomic, Equal)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_replace_closure_atoms(phi.body))
-    if isinstance(phi, And):
-        return And(tuple(_replace_closure_atoms(f) for f in phi.items))
-    if isinstance(phi, Or):
-        return Or(tuple(_replace_closure_atoms(f) for f in phi.items))
-    raise EmissionError("unexpected shape inside a specialized sentence")
+    slots = scopes(phi)
+    if any(var is not None for var, _ in slots):
+        raise EmissionError("unexpected shape inside a specialized sentence")
+    return rebuild(phi, [(None, _replace_closure_atoms(c)) for _, c in slots])
 
 
 # ---------------------------------------------------------------------------

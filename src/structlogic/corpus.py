@@ -24,13 +24,13 @@ from .syntax import (
     Forall,
     Formula,
     Not,
-    Or,
     Theory,
     Var,
     and_,
     implies,
     or_,
     qstruct,
+    quantify,
 )
 from .translate import univ_gen_rewrite
 from .vocab import EMPTY_VOCABULARY, Vocabulary
@@ -64,9 +64,7 @@ def bare_set(n: int) -> FiniteStructure:
 
 
 def _forall(names: list[str], body: Formula) -> Formula:
-    for v in reversed(names):
-        body = Forall(v, body)
-    return univ_gen_rewrite(body)
+    return univ_gen_rewrite(quantify(Forall, names, body))
 
 
 def linear_orders(size_cap: int = SIZE_CAP) -> DefinedClass:

@@ -91,11 +91,6 @@ def _induced_cached(base: FiniteStructure, subset: frozenset) -> FiniteStructure
     return base.induced(subset)
 
 
-@lru_cache(maxsize=50_000)
-def _target_key(target) -> tuple:
-    return canonical_key(target)
-
-
 @lru_cache(maxsize=400_000)
 def _eval_qstruct(n: FiniteStructure, phi: QStruct, params: tuple) -> bool:
     env = dict(params)
@@ -104,19 +99,21 @@ def _eval_qstruct(n: FiniteStructure, phi: QStruct, params: tuple) -> bool:
         raise SignatureError(
             "quantifier target vocabulary is not a sub-vocabulary of the structure's"
         )
-    elems = sorted(n.universe)
-    main = frozenset(e for e in elems if _eval(n, phi.phi, {**env, phi.var: e}))
-    sides = [
-        frozenset(e for e in elems if _eval(n, psi, {**env, y: e}))
-        for y, psi in zip(phi.yvars, phi.psis)
-    ]
+    main = _solutions(n, phi.phi, phi.var, env)
+    sides = [_solutions(n, psi, y, env) for y, psi in zip(phi.yvars, phi.psis)]
     if any(not side <= main for side in sides):
         return False
     base = _reduct_cached(n, tau0)
     if not base.is_closed_subset(main):
         return False
     candidate = decorated(_induced_cached(base, main), sides)
-    return canonical_key(candidate) == _target_key(phi.target)
+    return canonical_key(candidate) == canonical_key(phi.target)
+
+
+def _solutions(
+    n: FiniteStructure, phi: Formula, x: str, env: Assignment
+) -> frozenset[int]:
+    return frozenset(e for e in sorted(n.universe) if _eval(n, phi, {**env, x: e}))
 
 
 def eval(  # noqa: A001 - interface name fixed by contract
@@ -146,16 +143,15 @@ def solution_set(
 ) -> frozenset[int]:
     """The set of elements e with phi true at x := e under the assignment."""
     env = dict(a or {})
-    missing = free_vars(phi) - env.keys() - {x}
+    params = free_vars(phi) - {x}
+    missing = params - env.keys()
     if missing:
         raise AssignmentError(f"unassigned free variables: {sorted(missing)}")
     check_kappa(phi, kappa)
-    out = []
-    for e in sorted(n.universe):
-        env2 = {**env, x: e}
-        if eval(n, phi, env2, kappa):
-            out.append(e)
-    return frozenset(out)
+    for var in params:
+        if env[var] not in n.universe:
+            raise DomainError(f"assignment sends {var!r} outside the universe")
+    return _solutions(n, phi, x, env)
 
 
 def models(
@@ -326,4 +322,3 @@ def clear_caches() -> None:
     _eval_quant.cache_clear()
     _reduct_cached.cache_clear()
     _induced_cached.cache_clear()
-    _target_key.cache_clear()

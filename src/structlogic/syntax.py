@@ -180,44 +180,69 @@ def implies(a: Formula, b: Formula) -> Formula:
     return Or((Not(a), b))
 
 
-def children(phi: Formula) -> tuple[Formula, ...]:
+def scopes(phi: Formula) -> tuple[tuple[str | None, Formula], ...]:
+    """The node's children, each with the variable the node binds in it.
+
+    Slots that bind nothing carry None.  A structure quantifier binds its
+    main variable in the main formula and each side variable in its own side
+    formula, in that order.
+    """
     if isinstance(phi, (Atomic, Equal)):
         return ()
     if isinstance(phi, Not):
-        return (phi.body,)
+        return ((None, phi.body),)
     if isinstance(phi, (And, Or)):
-        return phi.items
+        return tuple((None, f) for f in phi.items)
     if isinstance(phi, (Exists, Forall)):
-        return (phi.body,)
+        return ((phi.var, phi.body),)
     if isinstance(phi, QStruct):
-        return (phi.phi, *phi.psis)
+        return ((phi.var, phi.phi), *zip(phi.yvars, phi.psis))
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def rebuild(phi: Formula, slots) -> Formula:
+    """Inverse of scopes: a node of phi's kind (and target) over new slots."""
+    if isinstance(phi, (Atomic, Equal)):
+        return phi
+    if isinstance(phi, Not):
+        return Not(slots[0][1])
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(c for _, c in slots))
+    if isinstance(phi, (Exists, Forall)):
+        return type(phi)(*slots[0])
+    (var, body), *sides = slots
+    return QStruct(
+        phi.target, var, tuple(y for y, _ in sides), body, tuple(p for _, p in sides)
+    )
+
+
+def children(phi: Formula) -> tuple[Formula, ...]:
+    return tuple(c for _, c in scopes(phi))
+
+
+def forall_prefix(phi: Formula) -> tuple[tuple[str, ...], Formula]:
+    """The variables of phi's universal prefix, outermost first, and its matrix."""
+    prefix = []
+    while isinstance(phi, Forall):
+        prefix.append(phi.var)
+        phi = phi.body
+    return tuple(prefix), phi
+
+
+def quantify(binder, variables, body: Formula) -> Formula:
+    """Wrap body in one binder (Exists or Forall) per variable, first outermost."""
+    for v in reversed(variables):
+        body = binder(v, body)
+    return body
 
 
 @lru_cache(maxsize=100_000)
 def free_vars(phi: Formula) -> frozenset[str]:
     if isinstance(phi, Atomic):
-        out: frozenset[str] = frozenset()
-        for t in phi.terms:
-            out |= term_vars(t)
-        return out
+        return frozenset().union(*map(term_vars, phi.terms))
     if isinstance(phi, Equal):
         return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or)):
-        out = frozenset()
-        for item in phi.items:
-            out |= free_vars(item)
-        return out
-    if isinstance(phi, (Exists, Forall)):
-        return free_vars(phi.body) - {phi.var}
-    if isinstance(phi, QStruct):
-        out = free_vars(phi.phi) - {phi.var}
-        for y, psi in zip(phi.yvars, phi.psis):
-            out |= free_vars(psi) - {y}
-        return out
-    raise TypeError(f"not a formula: {phi!r}")
+    return frozenset().union(*(free_vars(c) - {v} for v, c in scopes(phi)))
 
 
 def fresh_var(avoid, stem: str = "v") -> str:
@@ -241,46 +266,21 @@ def substitute_map(phi: Formula, mapping: dict[str, Term]) -> Formula:
         return Atomic(phi.rel, tuple(_term_subst(t, mapping) for t in phi.terms))
     if isinstance(phi, Equal):
         return Equal(_term_subst(phi.left, mapping), _term_subst(phi.right, mapping))
-    if isinstance(phi, Not):
-        return Not(substitute_map(phi.body, mapping))
-    if isinstance(phi, And):
-        return And(tuple(substitute_map(f, mapping) for f in phi.items))
-    if isinstance(phi, Or):
-        return Or(tuple(substitute_map(f, mapping) for f in phi.items))
-    if isinstance(phi, (Exists, Forall)):
-        var, body = _subst_binder(phi.var, phi.body, mapping)
-        return type(phi)(var, body)
-    if isinstance(phi, QStruct):
-        var, body = _subst_binder(phi.var, phi.phi, mapping)
-        new_pairs = [_subst_binder(y, psi, mapping) for y, psi in zip(phi.yvars, phi.psis)]
-        return QStruct(
-            phi.target,
-            var,
-            tuple(y for y, _ in new_pairs),
-            body,
-            tuple(p for _, p in new_pairs),
-        )
-    raise TypeError(f"not a formula: {phi!r}")
+    return rebuild(phi, [_subst_binder(v, c, mapping) for v, c in scopes(phi)])
 
 
-def _subst_binder(var: str, body: Formula, mapping: dict[str, Term]):
-    inner = {k: v for k, v in mapping.items() if k != var}
-    live = _live_vars(body, set(inner))
-    if not live:
+def _subst_binder(var: str | None, body: Formula, mapping: dict[str, Term]):
+    """Substitute into one slot; rename its bound variable when it would capture."""
+    fv = free_vars(body)
+    inner = {k: t for k, t in mapping.items() if k != var and k in fv}
+    if not inner:
         return var, body
-    inner = {k: v for k, v in inner.items() if k in live}
-    captured = set()
-    for v in inner.values():
-        captured |= term_vars(v)
+    captured = frozenset().union(*map(term_vars, inner.values()))
     if var in captured:
-        new = fresh_var(captured | free_vars(body) | set(inner), "v")
+        new = fresh_var(captured | fv | set(inner), "v")
         body = substitute_map(body, {var: Var(new)})
         var = new
     return var, substitute_map(body, inner)
-
-
-def _live_vars(body: Formula, names: set[str]) -> set[str]:
-    return set(free_vars(body)) & names
 
 
 def substitute(phi: Formula, var: str, term: Term) -> Formula:
@@ -325,22 +325,19 @@ def sort_key(phi: Formula):
         return (tag, phi.rel, tuple(_term_key(t) for t in phi.terms))
     if isinstance(phi, Equal):
         return (tag, "", (_term_key(phi.left), _term_key(phi.right)))
-    if isinstance(phi, Not):
-        return (tag, "", (sort_key(phi.body),))
-    if isinstance(phi, (And, Or)):
-        return (tag, "", tuple(sort_key(f) for f in phi.items))
-    if isinstance(phi, (Exists, Forall)):
-        return (tag, phi.var, (sort_key(phi.body),))
-    return (
-        tag,
-        phi.var,
-        (
-            phi.target.key,
-            tuple(phi.yvars),
-            sort_key(phi.phi),
-            tuple(sort_key(p) for p in phi.psis),
-        ),
-    )
+    if isinstance(phi, QStruct):
+        return (
+            tag,
+            phi.var,
+            (
+                phi.target.key,
+                tuple(phi.yvars),
+                sort_key(phi.phi),
+                tuple(sort_key(p) for p in phi.psis),
+            ),
+        )
+    slots = scopes(phi)
+    return (tag, slots[0][0] or "", tuple(sort_key(c) for _, c in slots))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +484,7 @@ def is_forall_qstruct(sentence: Formula) -> ShapeReport:
     of quantifier nodes (a single node counts as a one-disjunct disjunction)
     whose main and side formulas are quantifier-free.
     """
-    body = sentence
-    while isinstance(body, Forall):
-        body = body.body
+    _, body = forall_prefix(sentence)
     disjuncts = body.items if isinstance(body, Or) else (body,)
     for d in disjuncts:
         if not isinstance(d, QStruct):

@@ -30,20 +30,21 @@ from .syntax import (
     Formula,
     KappaThreshold,
     Not,
-    Or,
     QStruct,
     Term,
     UNBOUNDED,
     Var,
     and_,
-    children,
+    forall_prefix,
     fresh_var,
     free_vars,
-    has_qstruct,
     implies,
     is_quantifier_free,
     or_,
     qstruct,
+    quantify,
+    rebuild,
+    scopes,
     substitute_map,
 )
 from .vocab import EMPTY_VOCABULARY, Vocabulary
@@ -59,15 +60,11 @@ def univ_gen_rewrite(sentence: Formula) -> Formula:
     dummy universally quantified variable first, so the output always has
     the shape the guarded-quantifier test accepts.
     """
-    prefix: list[str] = []
-    body = sentence
-    while isinstance(body, Forall):
-        prefix.append(body.var)
-        body = body.body
-    if not is_quantifier_free(body) or has_qstruct(body):
+    prefix, body = forall_prefix(sentence)
+    if not is_quantifier_free(body):
         raise ShapeError("matrix must be quantifier-free")
     if not prefix:
-        prefix = [fresh_var(free_vars(body), "z")]
+        prefix = (fresh_var(free_vars(body), "z"),)
     pin = prefix[0]
     x = fresh_var(set(prefix) | free_vars(body), "v")
     wrapped = qstruct(
@@ -77,10 +74,7 @@ def univ_gen_rewrite(sentence: Formula) -> Formula:
         And((Equal(Var(x), Var(pin)), body)),
         (),
     )
-    out: Formula = wrapped
-    for var in reversed(prefix):
-        out = Forall(var, out)
-    return out
+    return quantify(Forall, prefix, wrapped)
 
 
 def eliminate_subvocab(q: QStruct, tau: Vocabulary) -> Formula:
@@ -169,9 +163,7 @@ def scott_sentence(d: DecoratedStructure) -> ScottSentence:
             or_(*[Equal(Var(closing_var), Var(names[e])) for e in elems]),
         )
     )
-    body: Formula = And(tuple(lits))
-    for e in reversed(elems):
-        body = Exists(names[e], body)
+    body = quantify(Exists, [names[e] for e in elems], And(tuple(lits)))
     return ScottSentence(body, tuple(placeholders))
 
 
@@ -199,25 +191,16 @@ def _relativize(phi: Formula, guard, placeholder_map) -> Formula:
         if len(phi.terms) != 1:
             raise ShapeError("placeholder atoms are unary")
         return placeholder_map[phi.rel](phi.terms[0])
-    if isinstance(phi, (Atomic, Equal)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_relativize(phi.body, guard, placeholder_map))
-    if isinstance(phi, And):
-        return And(tuple(_relativize(f, guard, placeholder_map) for f in phi.items))
-    if isinstance(phi, Or):
-        return Or(tuple(_relativize(f, guard, placeholder_map) for f in phi.items))
-    if isinstance(phi, Exists):
-        return Exists(
-            phi.var,
-            And((guard(Var(phi.var)), _relativize(phi.body, guard, placeholder_map))),
-        )
-    if isinstance(phi, Forall):
-        return Forall(
-            phi.var,
-            implies(guard(Var(phi.var)), _relativize(phi.body, guard, placeholder_map)),
-        )
-    raise ShapeError("cannot relativize through a structure quantifier")
+    if isinstance(phi, QStruct):
+        raise ShapeError("cannot relativize through a structure quantifier")
+    out = rebuild(
+        phi, [(v, _relativize(c, guard, placeholder_map)) for v, c in scopes(phi)]
+    )
+    if isinstance(out, Exists):
+        return Exists(out.var, And((guard(Var(out.var)), out.body)))
+    if isinstance(out, Forall):
+        return Forall(out.var, implies(guard(Var(out.var)), out.body))
+    return out
 
 
 def _count_at_least(k: int, x: str, phi: Formula, avoid) -> Formula:
@@ -236,10 +219,7 @@ def _count_at_least(k: int, x: str, phi: Formula, avoid) -> Formula:
             lits.append(Not(Equal(Var(names[i]), Var(names[j]))))
     for name in names:
         lits.append(substitute_map(phi, {x: Var(name)}))
-    body: Formula = and_(*lits)
-    for name in reversed(names):
-        body = Exists(name, body)
-    return body
+    return quantify(Exists, names, and_(*lits))
 
 
 def qstruct_to_counting(q: QStruct, kappa: KappaThreshold = UNBOUNDED) -> Formula:
@@ -285,19 +265,12 @@ def qstruct_to_counting(q: QStruct, kappa: KappaThreshold = UNBOUNDED) -> Formul
 
 def _rename_bound_away(phi: Formula, avoid: set) -> Formula:
     """Rename bound variables so none collides with the given names."""
-    if isinstance(phi, (Atomic, Equal)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_rename_bound_away(phi.body, avoid))
-    if isinstance(phi, And):
-        return And(tuple(_rename_bound_away(f, avoid) for f in phi.items))
-    if isinstance(phi, Or):
-        return Or(tuple(_rename_bound_away(f, avoid) for f in phi.items))
-    if isinstance(phi, (Exists, Forall)):
-        var, body = phi.var, phi.body
+    slots = []
+    for var, body in scopes(phi):
         if var in avoid:
             new = fresh_var(avoid | free_vars(body) | {var}, "u")
             body = substitute_map(body, {var: Var(new)})
             var = new
-        return type(phi)(var, _rename_bound_away(body, avoid | {var}))
-    raise ShapeError("cannot rename through a structure quantifier")
+        inner = avoid if var is None else avoid | {var}
+        slots.append((var, _rename_bound_away(body, inner)))
+    return rebuild(phi, slots)

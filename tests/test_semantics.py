@@ -121,6 +121,20 @@ def test_assignment_errors():
         ev(chain(2), lt("x", "z"), {"x": 0, "z": 9})
 
 
+def test_solution_set_checks_parameters_like_eval():
+    # the checks run once, before any element is tried, so an empty universe
+    # has no way around them
+    for n in (chain(0), chain(2)):
+        with pytest.raises(DomainError):
+            solution_set(n, lt("x", "z"), "x", {"z": 5})
+        with pytest.raises(AssignmentError):
+            solution_set(n, lt("x", "z"), "x", {})
+    with pytest.raises(KappaError):
+        solution_set(chain(0), exists_n(2), "x", {}, KappaThreshold.finite(2))
+    # the solved-for variable's own value, if given, is overridden, not checked
+    assert solution_set(chain(2), lt("x", "z"), "x", {"x": 7, "z": 1}) == frozenset({0})
+
+
 def test_kappa_gates_targets():
     q = exists_n(2)
     with pytest.raises(KappaError):

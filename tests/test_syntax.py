@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
+from oracles import oracle_eval
 from structlogic.errors import ArityError, KappaError, ShapeError
-from structlogic.structures import FiniteStructure, decorated, normalize
+from structlogic.structures import FiniteStructure, decorated, enumerate_structures, normalize
 from structlogic.syntax import (
     UNBOUNDED,
     And,
@@ -26,6 +30,8 @@ from structlogic.syntax import (
     is_quantifier_free,
     or_,
     qstruct,
+    rebuild,
+    scopes,
     subformula_closure,
     substitute,
 )
@@ -212,3 +218,86 @@ def test_substitute_free_vars_property():
         if v in free_vars(phi):
             expected |= term_vars(t)
         assert set(free_vars(out)) == expected, (phi, v, t, out)
+
+
+# ---------------------------------------------------------------------------
+# one walk: scopes / rebuild on random formulas with nested quantifier nodes
+
+R = Vocabulary({"R": 2})
+WALK_NAMES = ("x", "w", "v0")
+WALK_TARGETS = list(enumerate_structures(R, 2, up_to_iso=True))
+
+
+def _walk_formula(rng, depth):
+    kind = rng.randrange(8 if depth else 2)
+    a, b = rng.choice(WALK_NAMES), rng.choice(WALK_NAMES)
+    if kind == 0:
+        return Atomic("R", (Var(a), Var(b)))
+    if kind == 1:
+        return Equal(Var(a), Var(b))
+    if kind == 2:
+        return Not(_walk_formula(rng, depth - 1))
+    if kind in (3, 4):
+        items = (_walk_formula(rng, depth - 1), _walk_formula(rng, depth - 1))
+        return And(items) if kind == 3 else Or(items)
+    if kind == 5:
+        return Exists(a, _walk_formula(rng, depth - 1))
+    if kind == 6:
+        return Forall(a, _walk_formula(rng, depth - 1))
+    return _walk_qstruct(rng, depth)
+
+
+def _walk_qstruct(rng, depth):
+    base = rng.choice(WALK_TARGETS)
+    n_sides = rng.randrange(3)
+    subsets = tuple(
+        frozenset(e for e in base.universe if rng.randrange(2)) for _ in range(n_sides)
+    )
+    return qstruct(
+        decorated(base, subsets),
+        rng.choice(WALK_NAMES),
+        tuple(rng.choice(WALK_NAMES) for _ in range(n_sides)),
+        _walk_formula(rng, depth - 1),
+        tuple(_walk_formula(rng, depth - 1) for _ in range(n_sides)),
+    )
+
+
+def _walk_pool(count, seed, depth=3):
+    rng = random.Random(seed)
+    return [_walk_qstruct(rng, depth) for _ in range(count)]
+
+
+def test_scopes_and_rebuild_round_trip_at_every_subformula():
+    pool = _walk_pool(200, 11)
+    members = subformula_closure(pool).formulas
+    assert any(isinstance(q, QStruct) and q.psis for q in members)
+    for phi in members:
+        slots = scopes(phi)
+        assert rebuild(phi, slots) == phi
+        assert children(phi) == tuple(c for _, c in slots)
+
+
+def test_substitution_is_sound_through_every_binder():
+    # phi[v := w] under env agrees with phi under env with v sent to env[w],
+    # on every structure up to size 3: a captured w would break this
+    rng = random.Random(5)
+    structures = list(enumerate_structures(R, 3, up_to_iso=True))
+    renamed_at = set()
+    for phi in _walk_pool(60, 31, depth=2):
+        v, w = rng.sample(WALK_NAMES, 2)
+        out = substitute(phi, v, Var(w))
+        renamed_at |= {
+            type(node)
+            for node in subformula_closure(out).formulas
+            for var, _ in scopes(node)
+            if var is not None and var not in WALK_NAMES
+        }
+        variables = sorted(free_vars(phi) | {w})
+        for n in structures:
+            for values in itertools.product(sorted(n.universe), repeat=len(variables)):
+                env = dict(zip(variables, values))
+                assert oracle_eval(n, out, env) == oracle_eval(
+                    n, phi, {**env, v: env[w]}
+                ), (phi, v, w, env)
+    # capture was avoided by renaming at every binder kind
+    assert renamed_at == {Exists, Forall, QStruct}

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from structlogic.errors import ShapeError, SignatureError
+from structlogic.formats import print_formula
 from structlogic.semantics import eval as ev
 from structlogic.structures import FiniteStructure, decorated, enumerate_structures, normalize
 from structlogic.syntax import (
@@ -12,6 +13,7 @@ from structlogic.syntax import (
     Equal,
     Exists,
     Forall,
+    KappaThreshold,
     Not,
     Or,
     Var,
@@ -134,6 +136,26 @@ def test_counting_translation_with_side_set():
     # the nested quantifier inside the side slot stays; the outer one is gone
     assert not isinstance(out, type(q))
     assert_truth_preserved(q, out, [chain(k) for k in range(4)])
+
+
+def test_counting_translation_text_is_pinned():
+    # The fresh names (v0.. for containment and counting, u0.. for diagram
+    # variables renamed away) are part of the emitted text; the side formula
+    # binds v0, so substituting into it must rename that binder.
+    lt = lambda a, b: Atomic("lt", (Var(a), Var(b)))  # noqa: E731
+    side = Forall("v0", Or((Not(lt("v0", "x")), Not(lt("v0", "w")))))
+    q = qstruct(decorated(chain(2), (frozenset({0}),)), "y", ("w",), lt("y", "x"), (side,))
+    assert print_formula(qstruct_to_counting(q, KappaThreshold.finite(3))) == (
+        "(and (forall v0 (or (not (forall v1 (or (not (rel lt v1 x)) "
+        "(not (rel lt v1 v0))))) (rel lt v0 x))) "
+        "(not (exists v1 (exists v2 (exists v3 (and (not (= v1 v2)) (not (= v1 v3)) "
+        "(not (= v2 v3)) (rel lt v1 x) (rel lt v2 x) (rel lt v3 x)))))) "
+        "(exists u0 (and (rel lt u0 x) (exists v1 (and (rel lt v1 x) "
+        "(and (not (= u0 v1)) (not (rel lt u0 u0)) (rel lt u0 v1) (not (rel lt v1 u0)) "
+        "(not (rel lt v1 v1)) (forall v0 (or (not (rel lt v0 x)) (not (rel lt v0 u0)))) "
+        "(not (forall v0 (or (not (rel lt v0 x)) (not (rel lt v0 v1))))) "
+        "(forall v2 (or (not (rel lt v2 x)) (or (= v2 u0) (= v2 v1))))))))))"
+    )
 
 
 def test_scott_sentence_characterizes_up_to_iso():
