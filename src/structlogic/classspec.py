@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 from . import sexpr
 from .errors import ParseError, ShapeError
@@ -39,8 +39,6 @@ class Caps:
 
     size: int = 4
     tuple_len: int = 2
-    subset_limit: int = 1 << 16
-    raw_limit: int = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,9 @@ class DefinedClass:
     def vocabulary(self):
         return self.theory.vocabulary
 
-    @property
+    @cached_property
     def fragment(self) -> Fragment:
-        return _fragment_of(self.theory)
+        return subformula_closure(self.theory)
 
     def members(self, max_size: int | None = None) -> tuple[FiniteStructure, ...]:
         cap = self.size_cap if max_size is None else min(max_size, self.size_cap)
@@ -80,11 +78,6 @@ class DefinedClass:
 
     def le(self, m: FiniteStructure, n: FiniteStructure) -> ElemReport:
         return elem_F_star(m, n, self.fragment, self.kappa)
-
-
-@lru_cache(maxsize=256)
-def _fragment_of(theory: Theory) -> Fragment:
-    return subformula_closure(theory)
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,15 @@ def _seeds(n: FiniteStructure):
         yield from itertools.combinations(elems, k)
 
 
-def _closed_subsets(n: FiniteStructure, caps: Caps):
+# Every subset of the universe is tried, so the sweep stops at 16 elements.
+SUBSET_LIMIT = 1 << 16
+
+
+def _closed_subsets(n: FiniteStructure):
     """Function-closed subsets of the universe, smallest first, deterministic."""
-    if 2 ** n.size > caps.subset_limit:
+    if 2 ** n.size > SUBSET_LIMIT:
         raise CapacityError(
-            f"2^{n.size} subsets exceed the cap", count=2 ** n.size, limit=caps.subset_limit
+            f"2^{n.size} subsets exceed the cap", count=2 ** n.size, limit=SUBSET_LIMIT
         )
     for combo in _seeds(n):
         subset = frozenset(combo)
@@ -97,7 +101,7 @@ class ClassSlice:
     def parts(self, n: FiniteStructure) -> tuple[FiniteStructure, ...]:
         """Induced substructures of n on its closed subsets, smallest first."""
         return self._keep(
-            ("parts", n), lambda: tuple(n.induced(s) for s in _closed_subsets(n, self.caps))
+            ("parts", n), lambda: tuple(n.induced(s) for s in _closed_subsets(n))
         )
 
     def member_parts(self, n: FiniteStructure) -> tuple[FiniteStructure, ...]:

@@ -93,7 +93,3 @@ def formula_witness(label: str, phi) -> dict:
 
 def subset_witness(label: str, elems) -> dict:
     return {"kind": "subset", "label": label, "value": sorted(elems)}
-
-
-def assignment_witness(label: str, items) -> dict:
-    return {"kind": "assignment", "label": label, "value": [list(kv) for kv in sorted(items)]}

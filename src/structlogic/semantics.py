@@ -16,6 +16,7 @@ from itertools import product
 
 from .errors import AssignmentError, CapacityError, DomainError, SignatureError
 from .structures import (
+    DecoratedStructure,
     FiniteStructure,
     canonical_key,
     decorated,
@@ -40,6 +41,7 @@ from .syntax import (
     Var,
     check_kappa,
     free_vars,
+    scopes,
 )
 
 MAX_ELEM_FREE_VARS = 6
@@ -64,50 +66,44 @@ def _eval(n: FiniteStructure, phi: Formula, env: Assignment) -> bool:
         return all(_eval(n, f, env) for f in phi.items)
     if isinstance(phi, Or):
         return any(_eval(n, f, env) for f in phi.items)
-    if isinstance(phi, (Exists, Forall)):
+    if isinstance(phi, (Exists, Forall, QStruct)):
         params = tuple(sorted((v, env[v]) for v in free_vars(phi)))
-        return _eval_quant(n, phi, params)
-    if isinstance(phi, QStruct):
-        params = tuple(sorted((v, env[v]) for v in free_vars(phi)))
-        return _eval_qstruct(n, phi, params)
+        return _eval_binder(n, phi, params)
     raise TypeError(f"not a formula: {phi!r}")
 
 
 @lru_cache(maxsize=1_000_000)
-def _eval_quant(n: FiniteStructure, phi: Formula, params: tuple) -> bool:
+def _eval_binder(n: FiniteStructure, phi: Formula, params: tuple) -> bool:
+    """Truth of a quantifier node under its free variables' values."""
     env = dict(params)
     if isinstance(phi, Exists):
         return any(_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
-    return all(_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
-
-
-@lru_cache(maxsize=50_000)
-def _reduct_cached(n: FiniteStructure, tau0) -> FiniteStructure:
-    return reduct(n, tau0)
-
-
-@lru_cache(maxsize=400_000)
-def _induced_cached(base: FiniteStructure, subset: frozenset) -> FiniteStructure:
-    return base.induced(subset)
-
-
-@lru_cache(maxsize=400_000)
-def _eval_qstruct(n: FiniteStructure, phi: QStruct, params: tuple) -> bool:
-    env = dict(params)
-    tau0 = phi.target.base.vocab
-    if not tau0.is_subvocabulary_of(n.vocab):
+    if isinstance(phi, Forall):
+        return all(_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
+    if not phi.target.base.vocab.is_subvocabulary_of(n.vocab):
         raise SignatureError(
             "quantifier target vocabulary is not a sub-vocabulary of the structure's"
         )
     main = _solutions(n, phi.phi, phi.var, env)
-    sides = [_solutions(n, psi, y, env) for y, psi in zip(phi.yvars, phi.psis)]
-    if any(not side <= main for side in sides):
+    sides = tuple(_solutions(n, psi, y, env) for y, psi in zip(phi.yvars, phi.psis))
+    return _matches(n, phi.target, main, sides)
+
+
+@lru_cache(maxsize=400_000)
+def _matches(
+    n: FiniteStructure, target: DecoratedStructure, main: frozenset, sides: tuple
+) -> bool:
+    """Whether main, decorated by sides, induces a copy of the target in n.
+
+    Sizes and side containment are compared before anything is built, so a
+    main set of the wrong size is rejected without being labelled.
+    """
+    if len(main) != target.size or not all(side <= main for side in sides):
         return False
-    base = _reduct_cached(n, tau0)
+    base = reduct(n, target.base.vocab)
     if not base.is_closed_subset(main):
         return False
-    candidate = decorated(_induced_cached(base, main), sides)
-    return canonical_key(candidate) == canonical_key(phi.target)
+    return canonical_key(decorated(base.induced(main), sides)) == canonical_key(target)
 
 
 def _solutions(
@@ -231,7 +227,14 @@ class ElemReport:
 _OK = ElemReport(True, "ok")
 
 
-def _assignments(elems: list[int], variables: list[str], phi: Formula):
+def _assignments(elems: list[int], phi: Formula, kappa: KappaThreshold):
+    """Every assignment of phi's free variables into elems, sorted.
+
+    phi is checked once, before its first assignment: its free variables
+    against the sweep cap, and its targets against kappa when there is at
+    least one assignment.
+    """
+    variables = sorted(free_vars(phi))
     if len(variables) > MAX_ELEM_FREE_VARS:
         from .formats import print_formula
 
@@ -241,6 +244,8 @@ def _assignments(elems: list[int], variables: list[str], phi: Formula):
             count=len(variables),
             limit=MAX_ELEM_FREE_VARS,
         )
+    if elems or not variables:
+        check_kappa(phi, kappa)
     for values in product(elems, repeat=len(variables)):
         yield dict(zip(variables, values))
 
@@ -260,9 +265,8 @@ def elem_F(
         return ElemReport(False, "not-substructure")
     elems = sorted(n1.universe)
     for phi in f:
-        variables = sorted(free_vars(phi))
-        for env in _assignments(elems, variables, phi):
-            if eval(n1, phi, env, kappa) != eval(n2, phi, env, kappa):
+        for env in _assignments(elems, phi, kappa):
+            if _eval(n1, phi, env) != _eval(n2, phi, env):
                 return ElemReport(
                     False,
                     "truth-disagreement",
@@ -290,35 +294,20 @@ def elem_F_star(
         return base
     elems = sorted(n1.universe)
     for chi in f.qstruct_members():
-        variables = sorted(free_vars(chi))
-        for env in _assignments(elems, variables, chi):
-            inner1 = solution_set(n1, chi.phi, chi.var, env, kappa)
-            if not kappa.counts_as_small(len(inner1)):
+        slots = scopes(chi)
+        for env in _assignments(elems, chi, kappa):
+            # elem_F has evaluated chi here in both structures, which built
+            # these sets once already, so none of them can raise
+            sets1 = [_solutions(n1, body, x, env) for x, body in slots]
+            if not kappa.counts_as_small(len(sets1[0])):
                 continue
-            if inner1 != solution_set(n2, chi.phi, chi.var, env, kappa):
-                return ElemReport(
-                    False,
-                    "solution-set-change",
-                    chi,
-                    tuple(sorted(env.items())),
-                    detail="main solution set",
-                )
-            for y, psi in zip(chi.yvars, chi.psis):
-                if solution_set(n1, psi, y, env, kappa) != solution_set(
-                    n2, psi, y, env, kappa
-                ):
+            for i, ((x, body), set1) in enumerate(zip(slots, sets1)):
+                if set1 != _solutions(n2, body, x, env):
                     return ElemReport(
                         False,
                         "solution-set-change",
                         chi,
                         tuple(sorted(env.items())),
-                        detail=f"side solution set for {y!r}",
+                        detail=f"side solution set for {x!r}" if i else "main solution set",
                     )
     return _OK
-
-
-def clear_caches() -> None:
-    _eval_qstruct.cache_clear()
-    _eval_quant.cache_clear()
-    _reduct_cached.cache_clear()
-    _induced_cached.cache_clear()

@@ -476,15 +476,6 @@ def _function_interps(name: str, arity: int, elems: list[int]):
         yield name, dict(zip(cells, values))
 
 
-def _raw_count(vocab: Vocabulary, k: int) -> int:
-    total = 1
-    for name in vocab.relation_names():
-        total *= 1 << (k ** vocab.rel_arity(name))
-    for name in vocab.function_names():
-        total *= k ** (k ** vocab.fun_arity(name)) if k else 1
-    return total
-
-
 def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
     if k == 0:
         if not vocab.has_constants():

@@ -10,7 +10,7 @@ laid out identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ArityError, KappaError, ShapeError, SignatureError
 from .structures import DecoratedStructure, normalize
@@ -374,11 +374,6 @@ class KappaThreshold:
     def counts_as_small(self, count: int) -> bool:
         return self.bound is None or count < self.bound
 
-    def predecessor(self) -> "KappaThreshold":
-        if self.bound is None or self.bound == 1:
-            return self
-        return KappaThreshold(self.bound - 1)
-
     def __repr__(self):
         return "Unbounded" if self.bound is None else f"Finite({self.bound})"
 
@@ -428,8 +423,12 @@ class Fragment:
     def __contains__(self, phi: Formula) -> bool:
         return phi in self.formulas
 
+    @cached_property
+    def _ordered(self) -> tuple[Formula, ...]:
+        return tuple(sorted(self.formulas, key=sort_key))
+
     def __iter__(self):
-        return iter(sorted(self.formulas, key=sort_key))
+        return iter(self._ordered)
 
     def __len__(self):
         return len(self.formulas)

@@ -54,9 +54,6 @@ class Vocabulary:
     def function_names(self) -> list[str]:
         return sorted(self._functions)
 
-    def constant_names(self) -> list[str]:
-        return sorted(n for n, a in self._functions.items() if a == 0)
-
     def has_constants(self) -> bool:
         return any(a == 0 for a in self._functions.values())
 

@@ -16,7 +16,7 @@ from structlogic.closure import (
     verify_intersections,
 )
 from structlogic.corpus import BUILDERS, bare_set, chain
-from structlogic.errors import ArityError, DomainError
+from structlogic.errors import ArityError, CapacityError, DomainError
 
 CAPS = Caps(size=4, tuple_len=2)
 
@@ -52,6 +52,12 @@ def test_cl_of_empty_seed():
     result = cl(chain(3), set(), lin(), CAPS)
     assert result.structure.universe == frozenset()
     assert result.is_strong
+
+
+def test_cl_past_the_subset_cap_raises():
+    # 2^17 subsets exceed the 2^16 the closure sweep tries
+    with pytest.raises(CapacityError):
+        cl(chain(17), {0}, lin(), CAPS)
 
 
 def test_cl_monotone_and_idempotent():

@@ -1,4 +1,4 @@
-"""Unused-import lint over the package modules, with the standard library only."""
+"""Unused-import and dead-definition lints over the package modules, stdlib only."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 import structlogic
 
 PACKAGE = Path(structlogic.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -48,3 +49,72 @@ def test_package_modules_have_no_unused_relative_imports():
         if unused
     }
     assert offenders == {}
+
+
+def defined_names(source: str) -> list[str]:
+    """Top-level functions and classes, and non-dunder methods as Class.method."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            ]
+    return out
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the source loads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def unreferenced_definitions(modules: dict[str, str], sources) -> list[str]:
+    """module.name for each definition in modules that no source names."""
+    used = set().union(*map(referenced_names, sources))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in defined_names(source)
+        if name.rsplit(".", 1)[-1] not in used
+    )
+
+
+def test_lint_flags_a_dead_function_and_a_dead_method():
+    module = (
+        "class Box:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def live(self):\n        return 1\n"
+        "    def unused(self):\n        return 2\n"
+        "def helper():\n    return Box().live()\n"
+        "def dead():\n    return 0\n"
+    )
+    caller = "from .sample import helper\n\nhelper()\n"
+    assert unreferenced_definitions({"sample": module}, [module, caller]) == [
+        "sample.Box.unused",
+        "sample.dead",
+    ]
+
+
+def test_package_definitions_are_all_referenced():
+    modules = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((REPO / "src" / "structlogic").glob("*.py"))
+    }
+    sources = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((REPO / folder).rglob("*.py"))
+    ]
+    assert unreferenced_definitions(modules, sources) == []

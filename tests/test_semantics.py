@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from genpool import BIN_VOCAB, FUN_VOCAB, qstruct_pool
 from oracles import oracle_eval
+from structlogic.corpus import bare_set
 from structlogic.errors import AssignmentError, CapacityError, DomainError, KappaError
 from structlogic.semantics import (
     MAX_ELEM_FREE_VARS,
@@ -104,6 +108,40 @@ def test_non_function_closed_solution_set_is_false():
     q = qstruct(one_point, "x", (), Equal(Var("x"), Var("z")), ())
     assert not ev(n, q, {"z": 0})
     assert ev(n, q, {"z": 1})
+
+
+def test_main_set_past_the_labelling_cap_is_false():
+    # ten solutions can never carry a two-element target; nothing is labelled
+    q = qstruct(bare_set(2), "x", (), Equal(Var("x"), Var("x")), ())
+    assert not ev(bare_set(10), q, {})
+    assert not oracle_eval(bare_set(10), q, {})
+
+
+def _random_structures(vocab, count, size, rng):
+    elems = range(size)
+    if vocab.relations:
+        pairs = [(a, b) for a in elems for b in elems]
+        return [
+            FiniteStructure(vocab, elems, {"R": {p for p in pairs if rng.randrange(2)}})
+            for _ in range(count)
+        ]
+    return [
+        FiniteStructure(vocab, elems, {}, {"f": {(a,): rng.randrange(size) for a in elems}})
+        for _ in range(count)
+    ]
+
+
+def test_quantifier_pools_agree_with_oracle_at_size_5():
+    rng = random.Random(5)
+    total = 0
+    for vocab, seed in ((BIN_VOCAB, 11), (FUN_VOCAB, 13)):
+        pool = qstruct_pool(vocab, 120, seed=seed)
+        for s in _random_structures(vocab, 12, 5, rng):
+            for q in pool:
+                for z in sorted(s.universe):
+                    assert ev(s, q, {"z": z}) == oracle_eval(s, q, {"z": z}), (q, z)
+                    total += 1
+    assert total == 14400
 
 
 def test_eval_agrees_with_oracle_spot():
