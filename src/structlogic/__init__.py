@@ -25,7 +25,6 @@ from .structures import (
     enumerate_structures,
     find_isomorphism,
     generated_substructure,
-    isomorphisms,
     normalize,
     reduct,
 )

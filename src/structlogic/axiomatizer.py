@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .classspec import Caps, ModelClassSpec
-from .closure import PointedModel, class_slice, enumerate_DK, galois_equiv, verify_intersections
+from .closure import PointedModel, class_slice, enumerate_DK, verify_intersections
 from .errors import (
     EmissionError,
     IntersectionFailure,
@@ -216,13 +216,16 @@ def _pair_sentence(m: int, k: int, entries: tuple[CatalogEntry, ...]) -> Formula
     return quantify(Forall, zvars + wvars, or_(*disjuncts))
 
 
-def _contradictory_sentences() -> tuple[Formula, Formula]:
+def _empty_universe_sentence() -> Formula:
     empty = FiniteStructure(EMPTY_VOCABULARY, ())
+    return qstruct(decorated(empty), "x", (), Equal(Var("x"), Var("x")), ())
+
+
+def _contradictory_sentences() -> tuple[Formula, Formula]:
     point = FiniteStructure(EMPTY_VOCABULARY, range(1))
-    tautology = Equal(Var("x"), Var("x"))
     return (
-        qstruct(decorated(empty), "x", (), tautology, ()),
-        qstruct(decorated(point), "x", (), Not(tautology), ()),
+        _empty_universe_sentence(),
+        qstruct(decorated(point), "x", (), Not(Equal(Var("x"), Var("x"))), ()),
     )
 
 
@@ -236,13 +239,17 @@ def emit_aq_theory(
 
     Two sentence families: tuple coordinates lie in their own closure, and
     every pair of closure sets matches some cataloged configuration.  An
-    empty class gets a pair of jointly unsatisfiable sentences instead.
+    empty class gets a pair of jointly unsatisfiable sentences instead.  A
+    class whose only member is the empty structure has no tuple of length
+    one or more to catalog; one sentence saying that the universe is empty
+    stands in for those pairs.
     """
     if arity_cap is None:
         arity_cap = caps.size
     if pair_cap is None:
         pair_cap = caps.size
-    if not class_slice(spec, caps).members:
+    members = class_slice(spec, caps).members
+    if not members:
         s1, s2 = _contradictory_sentences()
         vocab = expanded_vocabulary(spec.vocabulary, arity_cap)
         theory = Theory(f"{spec.name}-presentation", vocab, (s1, s2))
@@ -253,8 +260,9 @@ def emit_aq_theory(
     for n in range(1, arity_cap + 1):
         for k in range(n):
             sentences.append(_reflexivity_sentence(n, k))
+    only_empty = all(not n.universe for n in members)
     pairs = []
-    for total in range(pair_cap + 1):
+    for total in range(1 if only_empty else pair_cap + 1):
         for m in range(total + 1):
             k = total - m
             entries = _catalog_for_pair(emap, m, k, dk)
@@ -262,6 +270,8 @@ def emit_aq_theory(
                 raise EmissionError(f"no catalog entries for length pair ({m}, {k})")
             pairs.append(((m, k), entries))
             sentences.append(_pair_sentence(m, k, entries))
+    if only_empty:
+        sentences.append(_empty_universe_sentence())
     theory = Theory(f"{spec.name}-presentation", emap.vocab, tuple(sentences))
     for s in theory.sentences:
         shape = is_forall_qstruct(s)
@@ -374,6 +384,7 @@ def verify_presentation(
 
     bad3: list[dict] = []
     emitted_set = set(emitted.sentences)
+    empty_universe = _empty_universe_sentence() in emitted_set
     for n in range(1, caps.size + 1):
         for k in range(n):
             if _reflexivity_sentence(n, k) not in emitted_set:
@@ -386,6 +397,8 @@ def verify_presentation(
                 )
     for s in range(caps.size + 1):
         entries = catalog.get(s, 0)
+        if not entries and s and empty_universe:
+            continue  # every model is empty, so no tuple of length s exists
         if not entries:
             bad3.append(
                 {
@@ -693,12 +706,15 @@ class MorleyizationMap:
         rels = {name: n.rel(name) for name in n.vocab.relation_names()}
         funs = {name: n.fun(name) for name in n.vocab.function_names()}
         elems = sorted(n.universe)
+        types: dict[int, list] = {}
         for name, rep in self.reps:
-            rels[name] = {
-                tup
-                for tup in itertools.product(elems, repeat=len(rep.anchor))
-                if galois_equiv(PointedModel(n, tup), rep, self.spec, self.caps)
-            }
+            k = len(rep.anchor)
+            if k not in types:
+                types[k] = [
+                    (tup, sl.anchored_type(n, tup)) for tup in itertools.product(elems, repeat=k)
+                ]
+            wanted = sl.anchored_type(rep.model, rep.anchor)
+            rels[name] = {tup for tup, t in types[k] if t == wanted}
         return FiniteStructure(self.vocab, n.universe, rels, funs)
 
 

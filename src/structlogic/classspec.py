@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import sexpr
-from .errors import ParseError, ShapeError
+from .errors import CapacityError, ParseError, ShapeError
 from .reports import (
     FAIL,
     NOT_FINITELY_TESTABLE,
@@ -24,9 +24,10 @@ from .reports import (
 )
 from .semantics import ElemReport, elem_F_star, enumerate_models, models
 from .structures import (
+    CANONICAL_SIZE_CAP,
     FiniteStructure,
+    canonical_key,
     decorated,
-    find_isomorphism,
     relabel,
 )
 from .syntax import Fragment, KappaThreshold, Theory, UNBOUNDED, subformula_closure
@@ -103,6 +104,12 @@ class ExplicitClass:
                 raise ShapeError(
                     f"order pair ({i}, {j}) does not hold between literal substructures"
                 )
+        if self.size_cap > CANONICAL_SIZE_CAP:
+            raise CapacityError(
+                f"explicit representatives cap at size {CANONICAL_SIZE_CAP}, got {self.size_cap}",
+                count=self.size_cap,
+                limit=CANONICAL_SIZE_CAP,
+            )
         table.update((i, i) for i in range(n))
         object.__setattr__(self, "order", frozenset(table))
         if n:
@@ -126,23 +133,28 @@ class ExplicitClass:
         cap = self.size_cap if max_size is None else max_size
         return tuple(r for r in self.reps if r.size <= cap)
 
-    def contains(self, n: FiniteStructure) -> bool:
-        if self.reps and n.vocab != self.vocabulary:
-            return False
-        return any(
-            r.size == n.size and find_isomorphism(n, r) is not None for r in self.reps
+    @cached_property
+    def _rep_keys(self) -> frozenset:
+        return frozenset(canonical_key(r) for r in self.reps)
+
+    @cached_property
+    def _order_keys(self) -> frozenset:
+        """Keys of rep j decorated by rep i's universe, one per table entry (i, j)."""
+        return frozenset(
+            canonical_key(decorated(self.reps[j], (self.reps[i].universe,)))
+            for i, j in self.order
         )
+
+    def contains(self, n: FiniteStructure) -> bool:
+        if n.vocab != self.vocabulary or n.size > self.size_cap:
+            return False
+        return canonical_key(n) in self._rep_keys
 
     def le(self, m: FiniteStructure, n: FiniteStructure) -> bool:
         """Order transported along isomorphism from the table entries."""
-        if not m.is_substructure_of(n):
+        if not m.is_substructure_of(n) or n.size > self.size_cap:
             return False
-        target = decorated(n, (frozenset(m.universe),))
-        for i, j in sorted(self.order):
-            entry = decorated(self.reps[j], (frozenset(self.reps[i].universe),))
-            if target.size == entry.size and find_isomorphism(target, entry) is not None:
-                return True
-        return False
+        return canonical_key(decorated(n, (m.universe,))) in self._order_keys
 
 
 ModelClassSpec = DefinedClass | ExplicitClass

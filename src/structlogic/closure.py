@@ -23,7 +23,7 @@ from .reports import (
     structure_witness,
     subset_witness,
 )
-from .structures import FiniteStructure, decorated, find_isomorphism, normalize
+from .structures import DecoratedStructure, FiniteStructure, decorated, normalize
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,14 @@ class ClassSlice:
             return ClosureResult(n.induced(inter), inter in universes)
 
         return self._keep(("cl", n, a), closure)
+
+    def anchored_type(self, n: FiniteStructure, anchor: tuple[int, ...]) -> DecoratedStructure:
+        """The canonical copy of cl(anchor) in n, decorated by the anchor's singletons.
+
+        Two anchored tuples have the same Galois type exactly when these are equal.
+        """
+        closed = self.cl(n, frozenset(anchor)).structure
+        return normalize(decorated(closed, [frozenset((e,)) for e in anchor]))
 
     def expanded(self, expansion, n: FiniteStructure) -> FiniteStructure:
         """expansion.build(self, n), built once per (expansion, n).
@@ -234,20 +242,8 @@ def galois_equiv(
     """Anchored isomorphism of the two closures, anchor onto anchor."""
     if len(p.anchor) != len(q.anchor):
         raise ArityError("anchors of unequal length are never equivalent")
-    pins: dict[int, int] = {}
-    for a, b in zip(p.anchor, q.anchor):
-        if pins.get(a, b) != b:
-            return False
-        pins[a] = b
-    if len(set(pins.values())) != len(pins):
-        return False
-    cp = cl(p.model, set(p.anchor), spec, caps).structure
-    cq = cl(q.model, set(q.anchor), spec, caps).structure
-    return find_isomorphism(cp, cq, pins) is not None
-
-
-def _pointed_key(model: FiniteStructure, anchor: tuple[int, ...]):
-    return normalize(decorated(model, [frozenset((e,)) for e in anchor]))
+    sl = class_slice(spec, caps)
+    return sl.anchored_type(p.model, p.anchor) == sl.anchored_type(q.model, q.anchor)
 
 
 def enumerate_DK(
@@ -264,8 +260,7 @@ def enumerate_DK(
         elems = sorted(n.universe)
         for length in range(max_tuple_len + 1):
             for anchor in itertools.product(elems, repeat=length):
-                closed = sl.cl(n, frozenset(anchor)).structure
-                canon = _pointed_key(closed, anchor)
+                canon = sl.anchored_type(n, anchor)
                 seen.setdefault((length, canon.key), canon)
     out = []
     for (_length, _key), canon in sorted(seen.items(), key=lambda kv: kv[0]):

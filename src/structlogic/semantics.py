@@ -20,6 +20,7 @@ from .structures import (
     FiniteStructure,
     canonical_key,
     decorated,
+    enumerate_hereditary,
     enumerate_structures,
     reduct,
 )
@@ -179,31 +180,11 @@ def enumerate_models(
             raise CapacityError("hereditary enumeration only produces one copy per type")
         if vocab.functions:
             raise SignatureError("hereditary enumeration requires a function-free vocabulary")
-        yield from _hereditary_models(t, vocab, max_size, kappa, max_raw)
+        yield from enumerate_hereditary(vocab, max_size, lambda s: models(s, t, kappa), max_raw)
         return
     for s in enumerate_structures(vocab, max_size, up_to_iso=up_to_iso, max_raw=max_raw):
         if models(s, t, kappa):
             yield s
-
-
-def _hereditary_models(
-    t: Theory, vocab, max_size: int, kappa: KappaThreshold, max_raw: int = 5_000_000
-):
-    from .structures import _augmented_reps
-
-    empty = FiniteStructure(vocab, ())
-    if not models(empty, t, kappa):
-        return
-    level = [empty]
-    yield empty
-    budget = [0]
-    for k in range(1, max_size + 1):
-        level = [
-            s
-            for s in _augmented_reps(vocab, k, level, budget, max_raw)
-            if models(s, t, kappa)
-        ]
-        yield from level
 
 
 # ---------------------------------------------------------------------------

@@ -235,164 +235,11 @@ def generated_substructure(s: FiniteStructure, seed: Iterable[int]) -> FiniteStr
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search
+# canonical forms
 
 
 def _as_decorated(x) -> DecoratedStructure:
     return x if isinstance(x, DecoratedStructure) else DecoratedStructure(x, ())
-
-
-def _element_invariants(d: DecoratedStructure) -> dict[int, tuple]:
-    base = d.base
-    inv: dict[int, list] = {e: [] for e in base.universe}
-    for name in base.vocab.relation_names():
-        arity = base.vocab.rel_arity(name)
-        for e in base.universe:
-            counts = [0] * arity
-            diag = 0
-            for t in base.rel(name):
-                for j, c in enumerate(t):
-                    if c == e:
-                        counts[j] += 1
-                if all(c == e for c in t):
-                    diag += 1
-            inv[e].append((tuple(counts), diag))
-    for name in base.vocab.function_names():
-        table = base.fun(name)
-        for e in base.universe:
-            out_count = sum(1 for v in table.values() if v == e)
-            in_count = sum(1 for args in table if e in args)
-            fixed = sum(1 for args, v in table.items() if v == e and all(c == e for c in args))
-            inv[e].append((out_count, in_count, fixed))
-    for subset in d.subsets:
-        for e in base.universe:
-            inv[e].append(e in subset)
-    return {e: tuple(v) for e, v in inv.items()}
-
-
-def isomorphisms(src, dst, pins: Mapping[int, int] | None = None):
-    """Yield every isomorphism src -> dst extending pins, as {src id: dst id} dicts.
-
-    Isomorphisms preserve all relations and functions in both directions and
-    map the i-th distinguished subset of src onto the i-th of dst exactly.
-    The search backtracks over invariant-compatible candidates; completeness
-    is the contract, the pruning is only a speedup.
-    """
-    src = _as_decorated(src)
-    dst = _as_decorated(dst)
-    if src.base.vocab != dst.base.vocab:
-        raise SignatureError("isomorphism search needs a shared vocabulary")
-    if len(src.subsets) != len(dst.subsets):
-        raise ArityError("isomorphism search needs equal subset-list lengths")
-    pins = dict(pins or {})
-    for a, b in pins.items():
-        if a not in src.base.universe or b not in dst.base.universe:
-            raise PinError(f"pin {a}->{b} leaves the universes")
-    if len(set(pins.values())) != len(pins):
-        raise PinError("pins must be injective")
-
-    if src.base.size != dst.base.size:
-        return
-    for name in src.base.vocab.relation_names():
-        if len(src.base.rel(name)) != len(dst.base.rel(name)):
-            return
-    for s_sub, d_sub in zip(src.subsets, dst.subsets):
-        if len(s_sub) != len(d_sub):
-            return
-
-    inv_src = _element_invariants(src)
-    inv_dst = _element_invariants(dst)
-    if sorted(inv_src.values()) != sorted(inv_dst.values()):
-        return
-
-    candidates: dict[int, list[int]] = {}
-    for e in src.base.universe:
-        if e in pins:
-            opts = [pins[e]] if inv_dst.get(pins[e]) == inv_src[e] else []
-        else:
-            opts = sorted(b for b in dst.base.universe if inv_dst[b] == inv_src[e])
-        if not opts:
-            return
-        candidates[e] = opts
-
-    base_s, base_d = src.base, dst.base
-    rel_names = base_s.vocab.relation_names()
-    tuples_by_elem_s = {
-        n: {e: [t for t in base_s.rel(n) if e in t] for e in base_s.universe} for n in rel_names
-    }
-    tuples_by_elem_d = {
-        n: {e: [t for t in base_d.rel(n) if e in t] for e in base_d.universe} for n in rel_names
-    }
-    fun_names = base_s.vocab.function_names()
-    fun_entries_s = {
-        n: {
-            e: [(args, v) for args, v in base_s.fun(n).items() if e in args or v == e]
-            for e in base_s.universe
-        }
-        for n in fun_names
-    }
-    fun_entries_d = {
-        n: {
-            e: [(args, v) for args, v in base_d.fun(n).items() if e in args or v == e]
-            for e in base_d.universe
-        }
-        for n in fun_names
-    }
-
-    order = sorted(base_s.universe, key=lambda e: (len(candidates[e]), e))
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-
-    def consistent(e: int, d: int) -> bool:
-        for n in rel_names:
-            rel_d = base_d.rel(n)
-            for t in tuples_by_elem_s[n][e]:
-                if all(c in fwd or c == e for c in t):
-                    mapped = tuple(d if c == e else fwd[c] for c in t)
-                    if mapped not in rel_d:
-                        return False
-            rel_s = base_s.rel(n)
-            for t in tuples_by_elem_d[n][d]:
-                if all(c in bwd or c == d for c in t):
-                    pre = tuple(e if c == d else bwd[c] for c in t)
-                    if pre not in rel_s:
-                        return False
-        for n in fun_names:
-            table_d = base_d.fun(n)
-            for args, v in fun_entries_s[n][e]:
-                if all(c in fwd or c == e for c in args) and (v in fwd or v == e):
-                    mapped_args = tuple(d if c == e else fwd[c] for c in args)
-                    mapped_v = d if v == e else fwd[v]
-                    if table_d[mapped_args] != mapped_v:
-                        return False
-        return True
-
-    def extend(i: int):
-        if i == len(order):
-            yield dict(fwd)
-            return
-        e = order[i]
-        for d in candidates[e]:
-            if d in bwd:
-                continue
-            if not consistent(e, d):
-                continue
-            fwd[e] = d
-            bwd[d] = e
-            yield from extend(i + 1)
-            del fwd[e]
-            del bwd[d]
-
-    yield from extend(0)
-
-
-def find_isomorphism(src, dst, pins: Mapping[int, int] | None = None) -> dict[int, int] | None:
-    """First isomorphism src -> dst extending pins, or None."""
-    return next(isomorphisms(src, dst, pins), None)
-
-
-# ---------------------------------------------------------------------------
-# canonical forms
 
 
 def _index_tuples(base: FiniteStructure, elems: list[int]):
@@ -409,7 +256,13 @@ def _index_tuples(base: FiniteStructure, elems: list[int]):
 
 
 @lru_cache(maxsize=200_000)
-def _normalize_cached(d: DecoratedStructure) -> DecoratedStructure:
+def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
+    """The canonical copy of d and the labelling onto it.
+
+    The labelling is a tuple: the i-th smallest element of d goes to label
+    labelling[i].  It is the first permutation, in itertools order, whose
+    encoding is the minimum.
+    """
     base = d.base
     m = base.size
     if m > CANONICAL_SIZE_CAP:
@@ -425,7 +278,7 @@ def _normalize_cached(d: DecoratedStructure) -> DecoratedStructure:
     rel_names = base.vocab.relation_names()
     fun_names = base.vocab.function_names()
 
-    best = None
+    best = best_perm = None
     for perm in itertools.permutations(range(m)):
         enc_rels = tuple(
             tuple(sorted(tuple(perm[i] for i in t) for t in idx_rels[n])) for n in rel_names
@@ -437,12 +290,12 @@ def _normalize_cached(d: DecoratedStructure) -> DecoratedStructure:
         enc_subs = tuple(tuple(sorted(perm[i] for i in s)) for s in idx_subsets)
         enc = (enc_rels, enc_funs, enc_subs)
         if best is None or enc < best:
-            best = enc
+            best, best_perm = enc, perm
     enc_rels, enc_funs, enc_subs = best
     relations = {n: set(enc_rels[j]) for j, n in enumerate(rel_names)}
     functions = {n: dict(enc_funs[j]) for j, n in enumerate(fun_names)}
     canon_base = FiniteStructure(base.vocab, range(m), relations, functions)
-    return DecoratedStructure(canon_base, tuple(frozenset(s) for s in enc_subs))
+    return DecoratedStructure(canon_base, tuple(frozenset(s) for s in enc_subs)), best_perm
 
 
 def normalize(x):
@@ -452,12 +305,47 @@ def normalize(x):
     Sizes beyond CANONICAL_SIZE_CAP raise CapacityError.
     """
     if isinstance(x, DecoratedStructure):
-        return _normalize_cached(x)
-    return _normalize_cached(DecoratedStructure(x, ())).base
+        return _canonical_labelling(x)[0]
+    return _canonical_labelling(DecoratedStructure(x, ()))[0].base
 
 
 def canonical_key(x):
     return normalize(_as_decorated(x)).key
+
+
+def find_isomorphism(src, dst, pins: Mapping[int, int] | None = None) -> dict[int, int] | None:
+    """An isomorphism src -> dst extending pins, as a {src id: dst id} dict, or None.
+
+    Isomorphisms preserve all relations and functions in both directions and
+    map the i-th distinguished subset of src onto the i-th of dst exactly.
+    The pins become ordered singleton subsets; the map is src's canonical
+    labelling followed by the inverse of dst's.  Sizes beyond
+    CANONICAL_SIZE_CAP raise CapacityError.
+    """
+    src = _as_decorated(src)
+    dst = _as_decorated(dst)
+    if src.base.vocab != dst.base.vocab:
+        raise SignatureError("isomorphism search needs a shared vocabulary")
+    if len(src.subsets) != len(dst.subsets):
+        raise ArityError("isomorphism search needs equal subset-list lengths")
+    pins = dict(pins or {})
+    for a, b in pins.items():
+        if a not in src.base.universe or b not in dst.base.universe:
+            raise PinError(f"pin {a}->{b} leaves the universes")
+    if len(set(pins.values())) != len(pins):
+        raise PinError("pins must be injective")
+    if src.size != dst.size:
+        return None
+    canon_src, to_label = _canonical_labelling(
+        DecoratedStructure(src.base, src.subsets + tuple(frozenset((a,)) for a in pins))
+    )
+    canon_dst, from_label = _canonical_labelling(
+        DecoratedStructure(dst.base, dst.subsets + tuple(frozenset((b,)) for b in pins.values()))
+    )
+    if canon_src != canon_dst:
+        return None
+    dst_of = dict(zip(from_label, sorted(dst.base.universe)))
+    return {e: dst_of[label] for e, label in zip(sorted(src.base.universe), to_label)}
 
 
 # ---------------------------------------------------------------------------
@@ -502,38 +390,45 @@ def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
         yield FiniteStructure(vocab, elems, rels, funs)
 
 
-def _augmented_reps(vocab: Vocabulary, k: int, prev: list[FiniteStructure], budget, limit):
-    """Size-k canonical representatives from size-(k-1) ones, relational vocabularies only."""
-    new = k - 1
-    elems = list(range(k))
-    rel_news = []
-    for n in vocab.relation_names():
-        arity = vocab.rel_arity(n)
-        cells = sorted(t for t in itertools.product(elems, repeat=arity) if new in t)
-        rel_news.append((n, cells))
-    seen = {}
-    for rep in prev:
+def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 5_000_000):
+    """Canonical representatives of the structures keep accepts, smallest first.
+
+    Relational vocabularies only.  Size k is grown from one-point extensions
+    of the size-(k-1) representatives kept, so the output is every type up
+    to max_size exactly when keep holds of each induced substructure of a
+    structure it accepts (every structure extends one of its one-point
+    deletions).  Within each size, representatives are sorted by canonical key.
+    """
+    names = vocab.relation_names()
+    budget = 0
+    level = [s for s in (FiniteStructure(vocab, ()),) if keep(s)]
+    yield from level
+    for k in range(1, max_size + 1):
+        elems = list(range(k))
         spaces = []
-        for n, cells in rel_news:
+        for n in names:
+            cells = sorted(
+                t for t in itertools.product(elems, repeat=vocab.rel_arity(n)) if k - 1 in t
+            )
             spaces.append([
                 frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
                 for mask in range(1 << len(cells))
             ])
-        for combo in itertools.product(*spaces):
-            budget[0] += 1
-            if budget[0] > limit:
-                raise CapacityError(
-                    f"structure enumeration exceeded the raw cap of {limit}",
-                    count=budget[0],
-                    limit=limit,
-                )
-            rels = {
-                n: rep.rel(n) | combo[j] for j, (n, _) in enumerate(rel_news)
-            }
-            cand = FiniteStructure(vocab, elems, rels)
-            canon = normalize(cand)
-            seen.setdefault(canon.key, canon)
-    return [seen[key] for key in sorted(seen)]
+        seen = {}
+        for rep in level:
+            for combo in itertools.product(*spaces):
+                budget += 1
+                if budget > max_raw:
+                    raise CapacityError(
+                        f"structure enumeration exceeded the raw cap of {max_raw}",
+                        count=budget,
+                        limit=max_raw,
+                    )
+                rels = {n: rep.rel(n) | combo[j] for j, n in enumerate(names)}
+                canon = normalize(FiniteStructure(vocab, elems, rels))
+                seen.setdefault(canon.key, canon)
+        level = [seen[key] for key in sorted(seen) if keep(seen[key])]
+        yield from level
 
 
 def enumerate_structures(
@@ -556,13 +451,7 @@ def enumerate_structures(
             yield from _raw_structures(vocab, k, budget, max_raw)
         return
     if not vocab.functions:
-        prev: list[FiniteStructure] = []
-        for k in range(max_size + 1):
-            if k == 0:
-                prev = [FiniteStructure(vocab, ())]
-            else:
-                prev = _augmented_reps(vocab, k, prev, budget, max_raw)
-            yield from prev
+        yield from enumerate_hereditary(vocab, max_size, lambda s: True, max_raw)
         return
     for k in range(max_size + 1):
         seen = {}

@@ -140,16 +140,24 @@ def _is_iso_full(a, b, f):
     return True
 
 
-def brute_decorated_isomorphic(a, b):
-    if a.base.vocab != b.base.vocab or a.base.size != b.base.size:
+def is_decorated_isomorphism(a, b, f):
+    """f is a bijection of a's universe onto b's that carries every relation,
+    function and distinguished subset of the decorated structure a exactly
+    onto b's."""
+    if a.base.vocab != b.base.vocab or len(a.subsets) != len(b.subsets):
         return False
-    if len(a.subsets) != len(b.subsets):
+    if set(f) != a.base.universe or sorted(f.values()) != sorted(b.base.universe):
+        return False
+    return _is_iso_full(a.base, b.base, f) and all(
+        frozenset(f[e] for e in sa) == sb for sa, sb in zip(a.subsets, b.subsets)
+    )
+
+
+def brute_decorated_isomorphic(a, b):
+    if a.base.size != b.base.size:
         return False
     src = sorted(a.base.universe)
-    for image in itertools.permutations(sorted(b.base.universe)):
-        f = dict(zip(src, image))
-        if _is_iso_full(a.base, b.base, f) and all(
-            frozenset(f[e] for e in sa) == sb for sa, sb in zip(a.subsets, b.subsets)
-        ):
-            return True
-    return False
+    return any(
+        is_decorated_isomorphism(a, b, dict(zip(src, image)))
+        for image in itertools.permutations(sorted(b.base.universe))
+    )

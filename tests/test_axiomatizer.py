@@ -16,7 +16,7 @@ from structlogic.classspec import Caps, DefinedClass, ExplicitClass
 from structlogic.corpus import BUILDERS, SIZE_CAP, bare_set, chain
 from structlogic.errors import IntersectionFailure, SignatureError, UniversalityError
 from structlogic.semantics import enumerate_models, models
-from structlogic.structures import canonical_key, normalize, reduct
+from structlogic.structures import FiniteStructure, canonical_key, normalize, reduct
 from structlogic.syntax import UNBOUNDED, Theory, is_forall_qstruct, subformula_closure
 from structlogic.vocab import Vocabulary
 
@@ -114,6 +114,27 @@ def test_emit_empty_class_is_contradictory():
     theory, catalog = emit_aq_theory(empty, caps=Caps(size=2))
     assert catalog.counts() == {}
     assert list(enumerate_models(theory, theory.vocabulary, 2, up_to_iso=True)) == []
+
+
+def test_emit_presents_the_class_of_the_empty_structure():
+    spec = ExplicitClass("only-empty", (FiniteStructure(Vocabulary({"R": 2}), ()),), frozenset())
+    theory, catalog = emit_aq_theory(spec, caps=CAPS3)
+    assert catalog.counts() == {"0,0": 1}
+    assert verify_presentation(spec, theory, caps=CAPS3, catalog=catalog).ok
+    # one point on which every sentence but the empty-universe one holds:
+    # every closure set is everything except that of the empty tuple
+    vocab = theory.vocabulary
+    point = FiniteStructure(
+        vocab,
+        range(1),
+        {
+            name: set() if name == closure_relation_name(0) else {(0,) * vocab.rel_arity(name)}
+            for name in vocab.relation_names()
+        },
+    )
+    assert not models(point, theory, UNBOUNDED)
+    rest = Theory(theory.name, vocab, theory.sentences[:-1])
+    assert models(point, rest, UNBOUNDED)
 
 
 def test_verify_presentation_linear_orders_caps3():

@@ -86,6 +86,15 @@ def test_deeply_nested_formula_is_an_input_error(chain3, tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+def test_explicit_class_past_the_labelling_cap_exits_2(tmp_path, capsys):
+    spec = _write(tmp_path, "big.sexp", "(class (members (structure (vocab) (universe 9))))")
+    assert main(["verify", spec, "--check", "axioms"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_parse_error_exits_2(chain3, tmp_path, capsys):
     bad = _write(tmp_path, "bad.sexp", "(lt x")
     assert main(["eval", chain3, bad]) == 2

@@ -6,10 +6,11 @@ import os
 
 import pytest
 
-from structlogic.classspec import Caps, check_class_properties, print_class_spec
+from structlogic.classspec import Caps, ExplicitClass, check_class_properties, print_class_spec
 from structlogic.corpus import (
     BUILDERS,
     all_p,
+    bare_set,
     bounded_blocks,
     chain,
     corpus_path,
@@ -18,6 +19,7 @@ from structlogic.corpus import (
     load_corpus_class,
     write_corpus_files,
 )
+from structlogic.errors import CapacityError
 from structlogic.structures import FiniteStructure, normalize, relabel
 from structlogic.vocab import Vocabulary
 
@@ -118,3 +120,8 @@ def test_broken_intersections_still_satisfies_order_axioms():
         load_corpus_class("broken-intersections"), Caps(size=4)
     )
     assert report.ok
+
+
+def test_explicit_representative_past_the_labelling_cap_is_refused():
+    with pytest.raises(CapacityError):
+        ExplicitClass("big", (bare_set(3), bare_set(9)), frozenset())

@@ -1,4 +1,4 @@
-"""Unused-import and dead-definition lints over the package modules, stdlib only."""
+"""Unused-import, private-import and dead-definition lints over the package modules, stdlib only."""
 
 from __future__ import annotations
 
@@ -47,6 +47,32 @@ def test_package_modules_have_no_unused_relative_imports():
         if path.name != "__init__.py"
         for unused in [unused_relative_imports(path.read_text(encoding="utf-8"))]
         if unused
+    }
+    assert offenders == {}
+
+
+def private_relative_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from another package module."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_lint_flags_a_private_relative_import():
+    source = "from .structures import _hidden, normalize\n\ndef f():\n    return _hidden, normalize\n"
+    assert private_relative_imports(source) == ["_hidden"]
+
+
+def test_package_modules_import_no_private_names():
+    offenders = {
+        path.name: private
+        for path in sorted(PACKAGE.glob("*.py"))
+        for private in [private_relative_imports(path.read_text(encoding="utf-8"))]
+        if private
     }
     assert offenders == {}
 

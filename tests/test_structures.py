@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_decorated_isomorphic, brute_isomorphic
-from structlogic.errors import DomainError, SignatureError
+from structlogic.errors import CapacityError, DomainError, SignatureError
 from structlogic.structures import (
     DecoratedStructure,
     FiniteStructure,
@@ -16,7 +16,6 @@ from structlogic.structures import (
     enumerate_structures,
     find_isomorphism,
     generated_substructure,
-    isomorphisms,
     normalize,
     reduct,
     relabel,
@@ -80,7 +79,14 @@ def test_relabel_and_isomorphisms():
     swapped = relabel(c2, {0: 1, 1: 0})
     assert swapped.rel("lt") == frozenset({(1, 0)})
     assert find_isomorphism(c2, swapped) == {0: 1, 1: 0}
-    assert list(isomorphisms(c2, c2)) == [{0: 0, 1: 1}]
+    assert find_isomorphism(c2, c2) == {0: 0, 1: 1}
+    assert find_isomorphism(c2, c2, {0: 1}) is None
+
+
+def test_find_isomorphism_past_the_labelling_cap_raises():
+    bare = Vocabulary()
+    with pytest.raises(CapacityError):
+        find_isomorphism(FiniteStructure(bare, range(9)), FiniteStructure(bare, range(1, 10)))
 
 
 def test_normalize_idempotent_and_canonical():
