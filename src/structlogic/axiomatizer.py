@@ -60,7 +60,7 @@ from .syntax import (
     scopes,
     subformula_closure,
 )
-from .translate import univ_gen_rewrite
+from .translate import diagram_literals, univ_gen_rewrite
 from .vocab import EMPTY_VOCABULARY, Vocabulary
 
 CLOSURE_RELATION_STEM = "cl"
@@ -551,20 +551,8 @@ def _forbidden_diagram(s: FiniteStructure) -> Formula:
         # sentences; emit the strongest approximation and let the model-set
         # sweep below reject the theory.
         return Forall("z0", Not(Equal(Var("z0"), Var("z0"))))
-    names = {e: f"z{i}" for i, e in enumerate(elems)}
-    lits: list[Formula] = []
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            lits.append(Not(Equal(Var(names[a]), Var(names[b]))))
-    for rel in sorted(s.vocab.relations):
-        arity = s.vocab.rel_arity(rel)
-        rows = s.rel(rel)
-        for row in itertools.product(elems, repeat=arity):
-            atom = Atomic(rel, tuple(Var(names[e]) for e in row))
-            lits.append(atom if row in rows else Not(atom))
-    if not lits:
-        lits.append(Equal(Var(names[elems[0]]), Var(names[elems[0]])))
-    return quantify(Forall, [names[e] for e in elems], Not(and_(*lits)))
+    zs = [f"z{i}" for i in range(len(elems))]
+    return quantify(Forall, zs, Not(_anchor_diagram(elems, [Var(z) for z in zs], s)))
 
 
 _ALWAYS_FALSE = object()
@@ -615,14 +603,20 @@ def _specialize_disjunct(d: Formula, base_vocab: Vocabulary, witnesses: dict):
         return _replace_closure_atoms(d)
     tvocab = d.target.base.vocab
     if not tvocab.relations and not tvocab.functions:
-        matrix = d.phi
+        matrix = _replace_closure_atoms(d.phi)
+        if not d.target.base.universe:
+            # the empty target: no element satisfies the matrix
+            return Forall(d.var, Not(matrix))
+        if matrix == Not(Equal(Var(d.var), Var(d.var))):
+            # no element satisfies the matrix, so no one-point set is its set
+            return _ALWAYS_FALSE
         if (
             isinstance(matrix, And)
             and len(matrix.items) == 2
             and isinstance(matrix.items[0], Equal)
         ):
-            return _replace_closure_atoms(matrix.items[1])
-        return _replace_closure_atoms(matrix)
+            return matrix.items[1]
+        return matrix
     param_terms = _closure_atom_params(d.phi)
     if not param_terms:
         return None if not d.target.base.universe else _ALWAYS_FALSE
@@ -649,21 +643,8 @@ def _specialize_disjunct(d: Formula, base_vocab: Vocabulary, witnesses: dict):
 
 
 def _anchor_diagram(tup, param_terms, base: FiniteStructure) -> Formula:
-    lits: list[Formula] = []
-    for i in range(len(tup)):
-        for j in range(i + 1, len(tup)):
-            eq = Equal(param_terms[i], param_terms[j])
-            lits.append(eq if tup[i] == tup[j] else Not(eq))
-    for rel in sorted(base.vocab.relations):
-        arity = base.vocab.rel_arity(rel)
-        rows = base.rel(rel)
-        for idx in itertools.product(range(len(tup)), repeat=arity):
-            atom = Atomic(rel, tuple(param_terms[i] for i in idx))
-            row = tuple(tup[i] for i in idx)
-            lits.append(atom if row in rows else Not(atom))
-    if not lits:
-        lits.append(Equal(param_terms[0], param_terms[0]))
-    return and_(*lits)
+    lits = diagram_literals(tup, param_terms, base)
+    return and_(*lits) if lits else Equal(param_terms[0], param_terms[0])
 
 
 def _closure_atom_params(phi: Formula) -> tuple:

@@ -1,8 +1,8 @@
 """Verification reports: per-check statuses with witnesses, serialized as JSON lines.
 
 Output is deterministic for fixed inputs: keys are sorted, witnesses keep
-their discovery order (itself deterministic), and wall-clock time is only
-included when explicitly requested.
+their discovery order (itself deterministic), and no wall-clock time is
+included.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class VerificationReport:
     command: str
     caps: dict[str, int] = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
-    wall_ms: int | None = None
 
     def add(
         self,
@@ -57,10 +56,8 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def to_lines(self, timing: bool = False) -> list[str]:
+    def render(self) -> str:
         header = {"caps": self.caps, "command": self.command, "schema": SCHEMA}
-        if timing and self.wall_ms is not None:
-            header["wall_ms"] = self.wall_ms
         lines = [json.dumps(header, sort_keys=True)]
         for c in self.checks:
             record = {
@@ -73,10 +70,7 @@ class VerificationReport:
                 record["note"] = c.note
             lines.append(json.dumps(record, sort_keys=True))
         lines.append(json.dumps({"result": PASS if self.ok else FAIL}, sort_keys=True))
-        return lines
-
-    def render(self, timing: bool = False) -> str:
-        return "\n".join(self.to_lines(timing)) + "\n"
+        return "\n".join(lines) + "\n"
 
 
 def structure_witness(label: str, s) -> dict:

@@ -67,27 +67,39 @@ def _eval(n: FiniteStructure, phi: Formula, env: Assignment) -> bool:
         return all(_eval(n, f, env) for f in phi.items)
     if isinstance(phi, Or):
         return any(_eval(n, f, env) for f in phi.items)
-    if isinstance(phi, (Exists, Forall, QStruct)):
-        params = tuple(sorted((v, env[v]) for v in free_vars(phi)))
+    if not isinstance(phi, (Exists, Forall, QStruct)):
+        raise TypeError(f"not a formula: {phi!r}")
+    params = tuple(sorted((v, env[v]) for v in free_vars(phi)))
+    if not isinstance(phi, QStruct):
         return _eval_binder(n, phi, params)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-@lru_cache(maxsize=1_000_000)
-def _eval_binder(n: FiniteStructure, phi: Formula, params: tuple) -> bool:
-    """Truth of a quantifier node under its free variables' values."""
-    env = dict(params)
-    if isinstance(phi, Exists):
-        return any(_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
-    if isinstance(phi, Forall):
-        return all(_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
     if not phi.target.base.vocab.is_subvocabulary_of(n.vocab):
         raise SignatureError(
             "quantifier target vocabulary is not a sub-vocabulary of the structure's"
         )
-    main = _solutions(n, phi.phi, phi.var, env)
-    sides = tuple(_solutions(n, psi, y, env) for y, psi in zip(phi.yvars, phi.psis))
-    return _matches(n, phi.target, main, sides)
+    sets = _solution_sets(n, scopes(phi), params)
+    return _matches(n, phi.target, sets[0], sets[1:])
+
+
+@lru_cache(maxsize=1_000_000)
+def _eval_binder(n: FiniteStructure, phi: Formula, params: tuple) -> bool:
+    """Truth of an Exists/Forall node under its free variables' values."""
+    env = dict(params)
+    found = (_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
+    return any(found) if isinstance(phi, Exists) else all(found)
+
+
+@lru_cache(maxsize=400_000)
+def _solution_sets(n: FiniteStructure, slots: tuple, params: tuple) -> tuple:
+    """The solution set of each (variable, body) slot under the parameters.
+
+    Keyed by a quantifier's slots rather than its node, so the disjuncts of a
+    type disjunction, which differ only in their targets, share one entry.
+    """
+    env = dict(params)
+    return tuple(
+        frozenset(e for e in sorted(n.universe) if _eval(n, body, {**env, x: e}))
+        for x, body in slots
+    )
 
 
 @lru_cache(maxsize=400_000)
@@ -105,12 +117,6 @@ def _matches(
     if not base.is_closed_subset(main):
         return False
     return canonical_key(decorated(base.induced(main), sides)) == canonical_key(target)
-
-
-def _solutions(
-    n: FiniteStructure, phi: Formula, x: str, env: Assignment
-) -> frozenset[int]:
-    return frozenset(e for e in sorted(n.universe) if _eval(n, phi, {**env, x: e}))
 
 
 def eval(  # noqa: A001 - interface name fixed by contract
@@ -148,7 +154,7 @@ def solution_set(
     for var in params:
         if env[var] not in n.universe:
             raise DomainError(f"assignment sends {var!r} outside the universe")
-    return _solutions(n, phi, x, env)
+    return _solution_sets(n, ((x, phi),), tuple(sorted((v, env[v]) for v in params)))[0]
 
 
 def models(
@@ -277,13 +283,15 @@ def elem_F_star(
     for chi in f.qstruct_members():
         slots = scopes(chi)
         for env in _assignments(elems, chi, kappa):
-            # elem_F has evaluated chi here in both structures, which built
-            # these sets once already, so none of them can raise
-            sets1 = [_solutions(n1, body, x, env) for x, body in slots]
+            # elem_F has evaluated chi here in both structures, so these are
+            # the stored sets and none of them can raise
+            params = tuple(sorted(env.items()))
+            sets1 = _solution_sets(n1, slots, params)
             if not kappa.counts_as_small(len(sets1[0])):
                 continue
-            for i, ((x, body), set1) in enumerate(zip(slots, sets1)):
-                if set1 != _solutions(n2, body, x, env):
+            sets2 = _solution_sets(n2, slots, params)
+            for i, ((x, _), set1, set2) in enumerate(zip(slots, sets1, sets2)):
+                if set1 != set2:
                     return ElemReport(
                         False,
                         "solution-set-change",

@@ -120,6 +120,26 @@ class ScottSentence:
     placeholders: tuple[str, ...]
 
 
+def diagram_literals(tup, terms, base: FiniteStructure) -> list[Formula]:
+    """The equality and relation literals that tup satisfies in base.
+
+    Position i of tup is named by terms[i]: one equality or inequality per
+    pair of positions, then, relation by relation, one atom or negated atom
+    per tuple of positions.
+    """
+    lits: list[Formula] = []
+    for i in range(len(tup)):
+        for j in range(i + 1, len(tup)):
+            eq = Equal(terms[i], terms[j])
+            lits.append(eq if tup[i] == tup[j] else Not(eq))
+    for rel in sorted(base.vocab.relations):
+        rows = base.rel(rel)
+        for idx in itertools.product(range(len(tup)), repeat=base.vocab.rel_arity(rel)):
+            atom = Atomic(rel, tuple(terms[i] for i in idx))
+            lits.append(atom if tuple(tup[i] for i in idx) in rows else Not(atom))
+    return lits
+
+
 def scott_sentence(d: DecoratedStructure) -> ScottSentence:
     base = d.base
     taken = set(base.vocab.relation_names()) | set(base.vocab.function_names())
@@ -135,16 +155,7 @@ def scott_sentence(d: DecoratedStructure) -> ScottSentence:
         y = "v0"
         return ScottSentence(Forall(y, Not(Equal(Var(y), Var(y)))), tuple(placeholders))
     names = {e: f"v{idx}" for idx, e in enumerate(elems)}
-    lits: list[Formula] = []
-    for a_idx, a in enumerate(elems):
-        for b in elems[a_idx + 1 :]:
-            lits.append(Not(Equal(Var(names[a]), Var(names[b]))))
-    for rel in sorted(base.vocab.relations):
-        arity = base.vocab.rel_arity(rel)
-        rows = base.rel(rel)
-        for row in itertools.product(elems, repeat=arity):
-            atom = Atomic(rel, tuple(Var(names[e]) for e in row))
-            lits.append(atom if row in rows else Not(atom))
+    lits = diagram_literals(elems, [Var(names[e]) for e in elems], base)
     for fun in sorted(base.vocab.functions):
         arity = base.vocab.fun_arity(fun)
         for args in itertools.product(elems, repeat=arity):

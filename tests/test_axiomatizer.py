@@ -14,7 +14,12 @@ from structlogic.axiomatizer import (
 )
 from structlogic.classspec import Caps, DefinedClass, ExplicitClass
 from structlogic.corpus import BUILDERS, SIZE_CAP, bare_set, chain
-from structlogic.errors import IntersectionFailure, SignatureError, UniversalityError
+from structlogic.errors import (
+    EmissionError,
+    IntersectionFailure,
+    SignatureError,
+    UniversalityError,
+)
 from structlogic.semantics import enumerate_models, models
 from structlogic.structures import FiniteStructure, canonical_key, normalize, reduct
 from structlogic.syntax import UNBOUNDED, Theory, is_forall_qstruct, subformula_closure
@@ -225,6 +230,23 @@ def test_tarski_specialize_matches_class():
     }
     wanted = {canonical_key(m) for m in spec.members(3)}
     assert produced == wanted
+
+
+def test_tarski_specialize_presents_the_class_of_the_empty_structure():
+    spec = ExplicitClass("only-empty", (bare_set(0),))
+    emitted, catalog = emit_aq_theory(spec, caps=CAPS3)
+    specialized = tarski_specialize(emitted, catalog, spec.vocabulary)
+    found = list(enumerate_models(specialized, spec.vocabulary, 3, up_to_iso=True))
+    assert [m.size for m in found] == [0]
+
+
+def test_tarski_specialize_refuses_the_empty_class():
+    # the empty structure satisfies every universal theory, so no universal
+    # theory presents the class with no members
+    spec = ExplicitClass("void", (), frozenset())
+    emitted, catalog = emit_aq_theory(spec, caps=CAPS3)
+    with pytest.raises(EmissionError, match="empty disjunction"):
+        tarski_specialize(emitted, catalog, spec.vocabulary)
 
 
 def test_galois_morleyization_linear_orders():

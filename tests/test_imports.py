@@ -1,8 +1,10 @@
-"""Unused-import, private-import and dead-definition lints over the package modules, stdlib only."""
+"""Stdlib-only `ast` lints over the package modules: unused, private and dead
+names, and the memo inventory."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import structlogic
@@ -144,3 +146,54 @@ def test_package_definitions_are_all_referenced():
         for path in sorted((REPO / folder).rglob("*.py"))
     ]
     assert unreferenced_definitions(modules, sources) == []
+
+
+def lru_cached_functions(source: str) -> list[str]:
+    """Functions decorated with lru_cache, bare or called, plain or as functools.lru_cache."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(target, "attr", getattr(target, "id", "")) == "lru_cache":
+                out.append(node.name)
+    return sorted(out)
+
+
+def documented_memos(readme: str) -> list[str]:
+    """module.name for each memo the library map names as "`name` keyed by"."""
+    out = []
+    for line in readme.splitlines():
+        row = re.match(r"\| `structlogic\.(\w+)` \|(.*)\|$", line)
+        if row:
+            out += [f"{row[1]}.{name}" for name in re.findall(r"`(\w+)` keyed by", row[2])]
+    return sorted(out)
+
+
+def test_lint_lists_memos_in_source_and_readme():
+    source = (
+        "import functools\nfrom functools import cached_property, lru_cache\n\n"
+        "@lru_cache(maxsize=8)\ndef a(x):\n    return x\n\n"
+        "@functools.lru_cache\ndef b(x):\n    return x\n\n"
+        "@cached_property\ndef c(self):\n    return 1\n\n"
+        "def d(x):\n    return x\n"
+    )
+    assert lru_cached_functions(source) == ["a", "b"]
+    readme = (
+        "| module | contents |\n| --- | --- |\n"
+        "| `structlogic.sample` | things; memos `a` keyed by (x), and `b` keyed by (`x`) |\n"
+        "| `structlogic.other` | no memo; `d` is plain |\n"
+        "`c` keyed by nothing, outside the table\n"
+    )
+    assert documented_memos(readme) == ["sample.a", "sample.b"]
+
+
+def test_every_memo_is_named_in_the_library_map():
+    memos = sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in lru_cached_functions(path.read_text(encoding="utf-8"))
+    )
+    assert len(memos) == 6
+    assert documented_memos((REPO / "README.md").read_text(encoding="utf-8")) == memos

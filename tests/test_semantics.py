@@ -6,6 +6,7 @@ import pytest
 
 from genpool import BIN_VOCAB, FUN_VOCAB, qstruct_pool
 from oracles import oracle_eval
+from structlogic import semantics
 from structlogic.corpus import bare_set
 from structlogic.errors import AssignmentError, CapacityError, DomainError, KappaError
 from structlogic.semantics import (
@@ -17,7 +18,7 @@ from structlogic.semantics import (
     solution_set,
 )
 from structlogic.semantics import eval as ev
-from structlogic.structures import FiniteStructure, decorated
+from structlogic.structures import FiniteStructure, decorated, enumerate_structures, relabel
 from structlogic.syntax import (
     UNBOUNDED,
     And,
@@ -142,6 +143,72 @@ def test_quantifier_pools_agree_with_oracle_at_size_5():
                     assert ev(s, q, {"z": z}) == oracle_eval(s, q, {"z": z}), (q, z)
                     total += 1
     assert total == 14400
+
+
+def _type_disjunction(q, targets_by_size, rng):
+    """q or'ed with 2-3 quantifiers over the same slots, each target of another size."""
+    sizes = rng.sample([k for k in range(5) if k != q.target.size], rng.choice((2, 3)))
+    disjuncts = [q]
+    for k in sizes:
+        base = rng.choice(targets_by_size[k])
+        subsets = tuple(
+            frozenset(e for e in base.universe if rng.randrange(2)) for _ in q.psis
+        )
+        disjuncts.append(qstruct(decorated(base, subsets), q.var, q.yvars, q.phi, q.psis))
+    rng.shuffle(disjuncts)
+    return Or(tuple(disjuncts))
+
+
+def test_type_disjunctions_agree_with_oracle_at_size_5():
+    # the disjuncts share one solution-set entry per z; each must still be
+    # matched against its own target
+    rng = random.Random(7)
+    total = 0
+    for vocab, seed in ((BIN_VOCAB, 11), (FUN_VOCAB, 13)):
+        targets_by_size = {k: [] for k in range(5)}
+        for t in enumerate_structures(vocab, 3, up_to_iso=True):
+            targets_by_size[t.size].append(t)
+        targets_by_size[4] = _random_structures(vocab, 8, 4, rng)
+        pool = qstruct_pool(vocab, 120, seed=seed)
+        disjunctions = [_type_disjunction(q, targets_by_size, rng) for q in pool]
+        for s in _random_structures(vocab, 6, 5, rng):
+            for d in disjunctions:
+                for z in sorted(s.universe):
+                    assert ev(s, d, {"z": z}) == oracle_eval(s, d, {"z": z}), (d, z)
+                    total += 1
+    assert total == 7200
+
+
+def test_type_disjunction_builds_its_sets_once_per_parameter_value():
+    # universe 50..54 keeps the structure out of every other test's entries
+    rows = {(50, 51), (51, 52), (52, 50), (53, 54)}
+    n = FiniteStructure(BIN_VOCAB, range(50, 55), {"R": rows})
+    main = Atomic("R", (Var("x"), Var("z")))
+    side = Not(Equal(Var("y"), Var("z")))
+    targets = [decorated(bare_set(k), (frozenset(range(k)),)) for k in range(2, 6)]
+    disj = Or(tuple(qstruct(t, "x", ("y",), main, (side,)) for t in targets))
+    memo = semantics._solution_sets
+    misses = memo.cache_info().misses
+    for z in sorted(n.universe):
+        assert not ev(n, disj, {"z": z})
+    assert memo.cache_info().misses - misses == 5
+
+
+def test_elem_F_star_reads_the_sets_elem_F_built():
+    # chain(4) on 60..63, so no other test has built its entries
+    c = relabel(chain(4), {i: 60 + i for i in range(4)})
+    frag = subformula_closure(
+        Theory("t", LT, (Forall("x", Or(tuple(exists_n(k) for k in range(4)))),))
+    )
+    memo = semantics._solution_sets
+    before = memo.cache_info()
+    assert elem_F(c.induced({60, 61}), c, frag).ok
+    after_plain = memo.cache_info()
+    assert after_plain.misses > before.misses
+    assert elem_F_star(c.induced({60, 61}), c, frag).ok
+    after_star = memo.cache_info()
+    assert after_star.misses == after_plain.misses
+    assert after_star.hits > after_plain.hits
 
 
 def test_eval_agrees_with_oracle_spot():
