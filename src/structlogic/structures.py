@@ -15,7 +15,8 @@ from functools import lru_cache
 from .errors import ArityError, CapacityError, DomainError, PinError, SignatureError
 from .vocab import Vocabulary
 
-# Canonical labeling minimizes over all permutations; factorial growth caps it.
+# Canonical labelling is an exact search over labellings, still exponential in
+# the worst case; the cap bounds it, and tests pin the error past it.
 CANONICAL_SIZE_CAP = 8
 
 
@@ -242,26 +243,127 @@ def _as_decorated(x) -> DecoratedStructure:
     return x if isinstance(x, DecoratedStructure) else DecoratedStructure(x, ())
 
 
-def _index_tuples(base: FiniteStructure, elems: list[int]):
-    pos = {e: i for i, e in enumerate(elems)}
-    rels = {
-        n: [tuple(pos[c] for c in t) for t in base.rel(n)]
-        for n in base.vocab.relation_names()
-    }
-    funs = {
-        n: [(tuple(pos[c] for c in args), pos[v]) for args, v in base.fun(n).items()]
-        for n in base.vocab.function_names()
-    }
-    return rels, funs
+def _labelling_rows(d: DecoratedStructure, rel_names, fun_names) -> list[list[tuple[int, ...]]]:
+    """d's relations, function graphs (args then value) and subsets as rows of element indices.
+
+    One group per symbol or subset, in encoding order.  Each group has a
+    fixed row count and arity, so comparing two labellings' sorted groups in
+    turn is comparing their (relations, functions, subsets) encodings.
+    """
+    index = {e: i for i, e in enumerate(sorted(d.base.universe))}.__getitem__
+    groups = [[tuple(map(index, t)) for t in d.base.rel(n)] for n in rel_names]
+    groups += [
+        [(*map(index, args), index(v)) for args, v in d.base.fun(n).items()] for n in fun_names
+    ]
+    groups += [[(index(e),) for e in s] for s in d.subsets]
+    return groups
+
+
+def _orbits_of(points, generators) -> set[int]:
+    seen = set(points)
+    stack = list(points)
+    while stack:
+        p = stack.pop()
+        for g in generators:
+            if g[p] not in seen:
+                seen.add(g[p])
+                stack.append(g[p])
+    return seen
+
+
+def _least_labelling(groups, m: int) -> tuple[list[int], bool]:
+    """A labelling of 0..m-1 (m >= 2) with the least encoding, and whether any other has it too.
+
+    Branch and bound: labels 0, 1, 2, ... go to elements depth first, and a
+    node's children are tried in the order of their bounds.  Each row is
+    read as a base-m number, which orders rows of one arity as tuples.  A
+    child's bound reads every unassigned coordinate as the next label, so
+    each row, and with it each sorted group, is no larger than in any
+    completion.  Distinct rows keep distinct images, so each row of a
+    sorted group is then raised to at least one above the row before it.
+
+    A child whose bound exceeds the best leaf so far is cut.  A leaf that
+    ties the best yields an automorphism, and a child in the orbit of an
+    explored sibling, under the automorphisms that fix the labelled
+    elements, is skipped.  Leaves with the least encoding are cut only that
+    way, so the labelling is the only one when no automorphism is found.
+    """
+    lab = [0] * m
+    columns = [tuple(zip(*rows)) for rows in groups if rows]
+
+    def encode(complete: bool) -> list[int]:
+        enc = []
+        for cols in columns:
+            keys = [lab[c] for c in cols[0]]
+            for col in cols[1:]:
+                keys = [key * m + lab[c] for key, c in zip(keys, col)]
+            keys.sort()
+            if not complete:
+                for i in range(1, len(keys)):
+                    if keys[i] <= keys[i - 1]:
+                        keys[i] = keys[i - 1] + 1
+            enc += keys
+        return enc
+
+    best = best_lab = None
+    automorphisms = []
+
+    def search(prefix: list[int], free: list[int]) -> None:
+        nonlocal best, best_lab
+        k = len(prefix)
+        leaves = len(free) == 2
+        for w in free:
+            lab[w] = k + 1
+        children = []
+        for u in free:
+            lab[u] = k
+            children.append((encode(leaves), u))
+            lab[u] = k + 1
+        children.sort()
+        explored: list[int] = []
+        for enc, u in children:
+            if best is not None and enc > best:
+                break
+            if explored and automorphisms:
+                fixing = [g for g in automorphisms if all(g[p] == p for p in prefix)]
+                if u in _orbits_of(explored, fixing):
+                    continue
+            if leaves:
+                lab[u] = k
+                if best is None or enc < best:
+                    best, best_lab = enc, lab[:]
+                else:
+                    inverse = sorted(range(m), key=best_lab.__getitem__)
+                    automorphisms.append([inverse[label] for label in lab])
+                lab[u] = k + 1
+            else:
+                for w in free:
+                    lab[w] = k + 1
+                lab[u] = k
+                search(prefix + [u], [w for w in free if w != u])
+            explored.append(u)
+
+    search([], list(range(m)))
+    del search  # it refers to itself: a cycle the collector would otherwise have to free
+    return best_lab, bool(automorphisms)
 
 
 @lru_cache(maxsize=200_000)
 def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
     """The canonical copy of d and the labelling onto it.
 
-    The labelling is a tuple: the i-th smallest element of d goes to label
-    labelling[i].  It is the first permutation, in itertools order, whose
-    encoding is the minimum.
+    The copy has the least (relations, functions, subsets) encoding over all
+    labellings of d by 0..m-1.  The labelling is a tuple: the i-th smallest
+    element of d goes to label labelling[i].  It is the first permutation, in
+    itertools order, whose encoding is that minimum.
+
+    _least_labelling finds a labelling with the least encoding by branch and
+    bound: unassigned coordinates read as the next label bound every
+    completion from below, and siblings in the orbit of an explored child,
+    under the automorphisms met so far that fix the labelled elements, are
+    skipped.  When it meets no automorphism that labelling is the only one.
+    Otherwise, unless it is the identity, which comes first of all,
+    _first_labelling_onto searches for the first.
     """
     base = d.base
     m = base.size
@@ -271,31 +373,66 @@ def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tup
             count=m,
             limit=CANONICAL_SIZE_CAP,
         )
-    elems = sorted(base.universe)
-    pos = {e: i for i, e in enumerate(elems)}
-    idx_rels, idx_funs = _index_tuples(base, elems)
-    idx_subsets = [sorted(pos[e] for e in s) for s in d.subsets]
     rel_names = base.vocab.relation_names()
     fun_names = base.vocab.function_names()
-
-    best = best_perm = None
-    for perm in itertools.permutations(range(m)):
-        enc_rels = tuple(
-            tuple(sorted(tuple(perm[i] for i in t) for t in idx_rels[n])) for n in rel_names
-        )
-        enc_funs = tuple(
-            tuple(sorted((tuple(perm[i] for i in args), perm[v]) for args, v in idx_funs[n]))
-            for n in fun_names
-        )
-        enc_subs = tuple(tuple(sorted(perm[i] for i in s)) for s in idx_subsets)
-        enc = (enc_rels, enc_funs, enc_subs)
-        if best is None or enc < best:
-            best, best_perm = enc, perm
-    enc_rels, enc_funs, enc_subs = best
-    relations = {n: set(enc_rels[j]) for j, n in enumerate(rel_names)}
-    functions = {n: dict(enc_funs[j]) for j, n in enumerate(fun_names)}
+    groups = _labelling_rows(d, rel_names, fun_names)
+    perm = list(range(m))
+    if m > 1:
+        perm, symmetric = _least_labelling(groups, m)
+        if symmetric and perm != sorted(perm):
+            perm = _first_labelling_onto(groups, perm)
+    label = perm.__getitem__
+    r = len(rel_names)
+    relations = {n: {tuple(map(label, row)) for row in groups[j]} for j, n in enumerate(rel_names)}
+    functions = {
+        n: {tuple(map(label, row[:-1])): label(row[-1]) for row in groups[r + j]}
+        for j, n in enumerate(fun_names)
+    }
+    subsets = tuple(frozenset(label(c) for (c,) in rows) for rows in groups[r + len(fun_names):])
     canon_base = FiniteStructure(base.vocab, range(m), relations, functions)
-    return DecoratedStructure(canon_base, tuple(frozenset(s) for s in enc_subs)), best_perm
+    return DecoratedStructure(canon_base, subsets), tuple(perm)
+
+
+def _first_labelling_onto(groups, target_lab: list[int]) -> list[int]:
+    """The first labelling, in itertools order, with the same image as target_lab.
+
+    Elements are labelled in index order, labels tried ascending.  A row is
+    checked when its largest element is labelled: its image must be a target
+    row.  The target rows among the labels used so far must then be exactly
+    as many as the rows among the elements labelled, so rows match in both
+    directions.
+    """
+    m = len(target_lab)
+    target = [{tuple(target_lab[c] for c in row) for row in rows} for rows in groups]
+    completed_at: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(m)]
+    target_masks: list[list[int]] = [[] for _ in range(m)]
+    for j, rows in enumerate(groups):
+        for row in rows:
+            completed_at[max(row)].append((j, row))
+            mask = 0
+            for c in row:
+                mask |= 1 << target_lab[c]
+            for c in set(row):
+                target_masks[target_lab[c]].append(mask)
+    perm = [0] * m
+
+    def extend(i: int, used: int) -> bool:
+        if i == m:
+            return True
+        for label in range(m):
+            if used >> label & 1:
+                continue
+            perm[i] = label
+            now = used | 1 << label
+            if all(tuple(perm[c] for c in row) in target[j] for j, row in completed_at[i]) and (
+                len(completed_at[i]) == sum(1 for mask in target_masks[label] if not mask & ~now)
+            ) and extend(i + 1, now):
+                return True
+        return False
+
+    extend(0, 0)
+    del extend  # as in _least_labelling
+    return perm
 
 
 def normalize(x):

@@ -210,7 +210,7 @@ def _cases(seed: int, vocab: Vocabulary, max_size: int, count: int):
 
 
 @pytest.mark.parametrize(
-    "vocab, max_size, seed", [(BIN, 4, 1), (BIN, 4, 2), (FUN, 3, 3), (FUN, 3, 4)]
+    "vocab, max_size, seed", [(BIN, 6, 1), (BIN, 6, 2), (FUN, 3, 3), (FUN, 3, 4)]
 )
 def test_find_isomorphism_agrees_with_backtracking(vocab, max_size, seed):
     count, found = 1000, 0

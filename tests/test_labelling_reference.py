@@ -1,0 +1,163 @@
+"""The branch-and-bound canonical labelling, against the brute force it replaces.
+
+`_canonical_labelling` must return exactly what the minimum over all m!
+permutations returned: the same canonical copy, and the first permutation
+in itertools order that reaches it.  The brute force is kept below as the
+reference.  Both the copy's key and the permutation are compared, on seeded
+decorated structures over eight vocabularies and on symmetric inputs,
+where a wrong permutation or a wrongly pruned branch would first show.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from structlogic.corpus import bare_set, chain, clique_with_loops
+from structlogic.structures import (
+    DecoratedStructure,
+    FiniteStructure,
+    _canonical_labelling,
+    decorated,
+    relabel,
+)
+from structlogic.vocab import Vocabulary
+
+VOCABULARIES = {
+    "binary": Vocabulary({"R": 2}),
+    "unary": Vocabulary({"P": 1}),
+    "binary+unary": Vocabulary({"R": 2, "P": 1}),
+    "ternary": Vocabulary({"T": 3}),
+    "unary-function": Vocabulary(functions={"f": 1}),
+    "binary-function+constant": Vocabulary(functions={"g": 2, "c": 0}),
+    "relation+function": Vocabulary({"R": 2}, {"f": 1}),
+    "empty": Vocabulary(),
+}
+CASES_PER_VOCABULARY = 400
+
+
+# ---------------------------------------------------------------------------
+# the brute force the branch and bound replaced
+
+
+def reference_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
+    """The least encoding over all permutations, and the first permutation reaching it."""
+    base = d.base
+    m = base.size
+    elems = sorted(base.universe)
+    pos = {e: i for i, e in enumerate(elems)}
+    rel_names = base.vocab.relation_names()
+    fun_names = base.vocab.function_names()
+    idx_rels = {n: [tuple(pos[c] for c in t) for t in base.rel(n)] for n in rel_names}
+    idx_funs = {
+        n: [(tuple(pos[c] for c in args), pos[v]) for args, v in base.fun(n).items()]
+        for n in fun_names
+    }
+    idx_subsets = [sorted(pos[e] for e in s) for s in d.subsets]
+
+    best = best_perm = None
+    for perm in itertools.permutations(range(m)):
+        enc_rels = tuple(
+            tuple(sorted(tuple(perm[i] for i in t) for t in idx_rels[n])) for n in rel_names
+        )
+        enc_funs = tuple(
+            tuple(sorted((tuple(perm[i] for i in args), perm[v]) for args, v in idx_funs[n]))
+            for n in fun_names
+        )
+        enc_subs = tuple(tuple(sorted(perm[i] for i in s)) for s in idx_subsets)
+        enc = (enc_rels, enc_funs, enc_subs)
+        if best is None or enc < best:
+            best, best_perm = enc, perm
+    enc_rels, enc_funs, enc_subs = best
+    relations = {n: set(enc_rels[j]) for j, n in enumerate(rel_names)}
+    functions = {n: dict(enc_funs[j]) for j, n in enumerate(fun_names)}
+    canon_base = FiniteStructure(base.vocab, range(m), relations, functions)
+    return DecoratedStructure(canon_base, tuple(frozenset(s) for s in enc_subs)), best_perm
+
+
+def assert_matches_reference(d: DecoratedStructure) -> None:
+    canon, perm = _canonical_labelling.__wrapped__(d)
+    ref_canon, ref_perm = reference_labelling(d)
+    assert canon.key == ref_canon.key, d
+    assert perm == ref_perm, d
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def _random_decorated(rng: random.Random, vocab: Vocabulary) -> DecoratedStructure:
+    """Size 0-6, one edge density in 0.1-0.9, 0-2 subsets, on a random non-contiguous universe."""
+    size = rng.randint(1 if vocab.has_constants() else 0, 6)
+    elems = range(size)
+    density = rng.uniform(0.1, 0.9)
+    relations = {
+        n: {t for t in itertools.product(elems, repeat=a) if rng.random() < density}
+        for n, a in vocab.relations.items()
+    }
+    functions = {
+        n: {args: rng.randrange(size) for args in itertools.product(elems, repeat=a)}
+        for n, a in vocab.functions.items()
+    }
+    base = FiniteStructure(vocab, elems, relations, functions)
+    subsets = [
+        {e for e in elems if rng.random() < rng.uniform(0.1, 0.9)} for _ in range(rng.randint(0, 2))
+    ]
+    mapping = dict(zip(elems, rng.sample(range(12), size)))
+    return decorated(relabel(base, mapping), [{mapping[e] for e in s} for s in subsets])
+
+
+@pytest.mark.parametrize("name", sorted(VOCABULARIES))
+def test_labelling_agrees_with_brute_force(name):
+    vocab = VOCABULARIES[name]
+    rng = random.Random(f"labelling-{name}")
+    for _ in range(CASES_PER_VOCABULARY):
+        assert_matches_reference(_random_decorated(rng, vocab))
+
+
+def _two_triangles_and_a_point() -> FiniteStructure:
+    blocks = (range(3), range(3, 6))
+    rows = {(a, b) for block in blocks for a in block for b in block if a != b}
+    return FiniteStructure(Vocabulary({"E": 2}), range(7), {"E": rows})
+
+
+def _involution_7() -> FiniteStructure:
+    """A digraph with a predicate whose one automorphism is (1 2)(3 5)(4 6).
+
+    The search meets the automorphism before the least leaf.  Pruning with
+    automorphisms that move the labelled elements then loses the minimum.
+    """
+    rows = {
+        (0, 1), (0, 2), (0, 4), (0, 6), (1, 0), (1, 1), (1, 3), (1, 4), (1, 5), (2, 0), (2, 2),
+        (2, 3), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 0), (4, 1), (4, 4),
+        (4, 6), (5, 1), (5, 3), (5, 4), (5, 5), (5, 6), (6, 0), (6, 2), (6, 4), (6, 6),
+    }
+    return FiniteStructure(
+        Vocabulary({"R": 2, "P": 1}), range(7), {"R": rows, "P": {(e,) for e in range(1, 7)}}
+    )
+
+
+SYMMETRIC = {
+    "bare-set-8": bare_set(8),
+    "clique-with-loops-7": clique_with_loops(7),
+    "chain-7": chain(7),
+    "directed-7-cycle": FiniteStructure(
+        Vocabulary({"R": 2}), range(7), {"R": {(i, (i + 1) % 7) for i in range(7)}}
+    ),
+    "two-triangles-and-a-point": _two_triangles_and_a_point(),
+    "involution-7": _involution_7(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_labelling_agrees_with_brute_force_on_symmetric_inputs(name):
+    """Each input as built, relabelled onto a non-contiguous universe, and with one subset."""
+    s = SYMMETRIC[name]
+    rng = random.Random(f"symmetric-{name}")
+    mapping = dict(zip(sorted(s.universe), rng.sample(range(12), s.size)))
+    copy = relabel(s, mapping)
+    assert_matches_reference(decorated(s))
+    assert_matches_reference(decorated(copy))
+    assert_matches_reference(decorated(copy, [set(rng.sample(sorted(copy.universe), 3))]))

@@ -151,7 +151,7 @@ def test_generated_substructure_closes_under_functions():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3), st.data())
+@given(st.integers(0, 7), st.data())
 def test_relabel_preserves_key(n, data):
     rows = data.draw(
         st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))))
