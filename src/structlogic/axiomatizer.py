@@ -229,12 +229,7 @@ def _contradictory_sentences() -> tuple[Formula, Formula]:
     )
 
 
-def emit_aq_theory(
-    spec: ModelClassSpec,
-    arity_cap: int | None = None,
-    pair_cap: int | None = None,
-    caps: Caps = Caps(),
-) -> tuple[Theory, PairCatalog]:
+def emit_aq_theory(spec: ModelClassSpec, caps: Caps = Caps()) -> tuple[Theory, PairCatalog]:
     """Emit the guarded-quantifier presentation of the expanded class.
 
     Two sentence families: tuple coordinates lie in their own closure, and
@@ -242,27 +237,24 @@ def emit_aq_theory(
     empty class gets a pair of jointly unsatisfiable sentences instead.  A
     class whose only member is the empty structure has no tuple of length
     one or more to catalog; one sentence saying that the universe is empty
-    stands in for those pairs.
+    stands in for those pairs.  Tuples, and pairs of them, run to length
+    caps.size.
     """
-    if arity_cap is None:
-        arity_cap = caps.size
-    if pair_cap is None:
-        pair_cap = caps.size
     members = class_slice(spec, caps).members
     if not members:
         s1, s2 = _contradictory_sentences()
-        vocab = expanded_vocabulary(spec.vocabulary, arity_cap)
+        vocab = expanded_vocabulary(spec.vocabulary, caps.size)
         theory = Theory(f"{spec.name}-presentation", vocab, (s1, s2))
         return theory, PairCatalog(())
-    emap = functorial_expansion(spec, arity_cap, caps)
-    dk = enumerate_DK(spec, max_tuple_len=pair_cap, caps=caps)
+    emap = functorial_expansion(spec, caps.size, caps)
+    dk = enumerate_DK(spec, max_tuple_len=caps.size, caps=caps)
     sentences: list[Formula] = []
-    for n in range(1, arity_cap + 1):
+    for n in range(1, caps.size + 1):
         for k in range(n):
             sentences.append(_reflexivity_sentence(n, k))
     only_empty = all(not n.universe for n in members)
     pairs = []
-    for total in range(1 if only_empty else pair_cap + 1):
+    for total in range(1 if only_empty else caps.size + 1):
         for m in range(total + 1):
             k = total - m
             entries = _catalog_for_pair(emap, m, k, dk)
@@ -289,8 +281,6 @@ def verify_presentation(
     emitted: Theory,
     caps: Caps = Caps(),
     catalog: PairCatalog | None = None,
-    arity_cap: int | None = None,
-    pair_cap: int | None = None,
 ) -> VerificationReport:
     """Four checks that the emitted theory presents the expanded class.
 
@@ -304,13 +294,9 @@ def verify_presentation(
     member; (4) on induced expanded substructures that satisfy the theory,
     starred elementarity coincides with the class order of the reducts.
     """
-    if arity_cap is None:
-        arity_cap = caps.size
-    if pair_cap is None:
-        pair_cap = caps.size
     report = VerificationReport(
         command=f"verify_presentation {spec.name}",
-        caps={"size": caps.size, "arity_cap": arity_cap, "pair_cap": pair_cap},
+        caps={"size": caps.size, "arity_cap": caps.size, "pair_cap": caps.size},
     )
     sl = class_slice(spec, caps)
     members = sl.members
@@ -339,9 +325,9 @@ def verify_presentation(
         report.add("order-reflected", PASS, {"pairs": 0}, note="empty class")
         return report
 
-    emap = functorial_expansion(spec, arity_cap, caps)
+    emap = functorial_expansion(spec, caps.size, caps)
     if catalog is None:
-        _, catalog = emit_aq_theory(spec, arity_cap, pair_cap, caps)
+        _, catalog = emit_aq_theory(spec, caps)
 
     bad1 = []
     for n in members:

@@ -31,7 +31,8 @@ from .structures import (
     relabel,
 )
 from .syntax import Fragment, KappaThreshold, Theory, UNBOUNDED, subformula_closure
-from .formats import structure_from_node, theory_from_node
+from .formats import structure_from_node, structure_to_node, theory_from_node, theory_to_node
+from .vocab import EMPTY_VOCABULARY
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,6 @@ class ExplicitClass:
     @property
     def vocabulary(self):
         if not self.reps:
-            from .vocab import EMPTY_VOCABULARY
-
             return EMPTY_VOCABULARY
         return self.reps[0].vocab
 
@@ -382,8 +381,6 @@ def _load_structure(path: str) -> FiniteStructure:
 
 
 def class_spec_to_node(spec: ModelClassSpec) -> list:
-    from .formats import structure_to_node, theory_to_node
-
     if isinstance(spec, DefinedClass):
         out: list = ["class", ["name", spec.name], theory_to_node(spec.theory)]
         out.append(

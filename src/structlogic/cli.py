@@ -205,12 +205,8 @@ def cli_verify(args) -> int:
 def cli_emit(args) -> int:
     spec = load_class_spec(args.spec)
     caps = _parse_caps(args.caps)
-    arity_cap = args.arity_cap if args.arity_cap is not None else caps.size
-    pair_cap = args.pair_cap if args.pair_cap is not None else caps.size
     try:
-        theory, catalog = emit_aq_theory(
-            spec, arity_cap=arity_cap, pair_cap=pair_cap, caps=caps
-        )
+        theory, catalog = emit_aq_theory(spec, caps=caps)
     except (IntersectionFailure, EmissionError) as err:
         print(f"emission failed: {err}", file=sys.stderr)
         return 1
@@ -219,7 +215,7 @@ def cli_emit(args) -> int:
     counts = json.dumps(catalog.counts(), sort_keys=True)
     header = (
         f"; source {os.path.basename(args.spec)} sha256 {digest}\n"
-        f"; caps size {caps.size} arity {arity_cap} pair {pair_cap}\n"
+        f"; caps size {caps.size} arity {caps.size} pair {caps.size}\n"
         f"; catalog {counts}\n"
     )
     text = header + formats.print_theory(theory)
@@ -239,17 +235,8 @@ def cli_roundtrip(args) -> int:
     caps = _parse_caps(args.caps)
     command = f"roundtrip {os.path.basename(args.spec)}"
     try:
-        theory, catalog = emit_aq_theory(
-            spec, arity_cap=args.arity_cap, pair_cap=args.pair_cap, caps=caps
-        )
-        report = verify_presentation(
-            spec,
-            theory,
-            caps=caps,
-            catalog=catalog,
-            arity_cap=args.arity_cap,
-            pair_cap=args.pair_cap,
-        )
+        theory, catalog = emit_aq_theory(spec, caps=caps)
+        report = verify_presentation(spec, theory, caps=caps, catalog=catalog)
     except (IntersectionFailure, EmissionError, UniversalityError) as err:
         report = VerificationReport(command=command, caps={"size": caps.size})
         report.add(
@@ -359,16 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit", help="emit the guarded-quantifier presentation")
     p.add_argument("spec")
-    p.add_argument("--arity-cap", type=int)
-    p.add_argument("--pair-cap", type=int)
     p.add_argument("--out", help="write the theory file here instead of stdout")
     common(p, caps=True)
     p.set_defaults(fn=cli_emit)
 
     p = sub.add_parser("roundtrip", help="emit then verify the presentation")
     p.add_argument("spec")
-    p.add_argument("--arity-cap", type=int)
-    p.add_argument("--pair-cap", type=int)
     common(p, caps=True)
     p.set_defaults(fn=cli_roundtrip)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from .classspec import DefinedClass, ExplicitClass, print_class_spec
+from .classspec import DefinedClass, ExplicitClass, load_class_spec, print_class_spec
 from .structures import FiniteStructure
 from .syntax import (
     Atomic,
@@ -197,8 +197,6 @@ def corpus_path(name: str) -> str:
 
 
 def load_corpus_class(name: str):
-    from .classspec import load_class_spec
-
     if name not in BUILDERS:
         raise KeyError(f"unknown corpus class {name!r}; have {sorted(BUILDERS)}")
     return load_class_spec(corpus_path(name))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .formats import print_formula, print_structure
+
 SCHEMA = "structlogic-report-v1"
 
 PASS = "pass"
@@ -74,14 +76,10 @@ class VerificationReport:
 
 
 def structure_witness(label: str, s) -> dict:
-    from .formats import print_structure
-
     return {"kind": "structure", "label": label, "value": print_structure(s)}
 
 
 def formula_witness(label: str, phi) -> dict:
-    from .formats import print_formula
-
     return {"kind": "formula", "label": label, "value": print_formula(phi)}
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import AssignmentError, CapacityError, DomainError, SignatureError
+from .formats import print_formula
 from .structures import (
     DecoratedStructure,
     FiniteStructure,
@@ -223,8 +224,6 @@ def _assignments(elems: list[int], phi: Formula, kappa: KappaThreshold):
     """
     variables = sorted(free_vars(phi))
     if len(variables) > MAX_ELEM_FREE_VARS:
-        from .formats import print_formula
-
         raise CapacityError(
             f"{len(variables)} free variables exceed the exhaustive-sweep cap "
             f"of {MAX_ELEM_FREE_VARS} in {print_formula(phi)}",

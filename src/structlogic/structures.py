@@ -271,8 +271,8 @@ def _orbits_of(points, generators) -> set[int]:
     return seen
 
 
-def _least_labelling(groups, m: int) -> tuple[list[int], bool]:
-    """A labelling of 0..m-1 (m >= 2) with the least encoding, and whether any other has it too.
+def _least_labelling(groups, m: int) -> list[int]:
+    """A labelling of 0..m-1 (m >= 2) with the least encoding: the least leaf the search reaches.
 
     Branch and bound: labels 0, 1, 2, ... go to elements depth first, and a
     node's children are tried in the order of their bounds.  Each row is
@@ -285,8 +285,7 @@ def _least_labelling(groups, m: int) -> tuple[list[int], bool]:
     A child whose bound exceeds the best leaf so far is cut.  A leaf that
     ties the best yields an automorphism, and a child in the orbit of an
     explored sibling, under the automorphisms that fix the labelled
-    elements, is skipped.  Leaves with the least encoding are cut only that
-    way, so the labelling is the only one when no automorphism is found.
+    elements, is skipped.
     """
     lab = [0] * m
     columns = [tuple(zip(*rows)) for rows in groups if rows]
@@ -345,25 +344,18 @@ def _least_labelling(groups, m: int) -> tuple[list[int], bool]:
 
     search([], list(range(m)))
     del search  # it refers to itself: a cycle the collector would otherwise have to free
-    return best_lab, bool(automorphisms)
+    return best_lab
 
 
 @lru_cache(maxsize=200_000)
 def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
-    """The canonical copy of d and the labelling onto it.
+    """The canonical copy of d and a labelling onto it.
 
     The copy has the least (relations, functions, subsets) encoding over all
     labellings of d by 0..m-1.  The labelling is a tuple: the i-th smallest
-    element of d goes to label labelling[i].  It is the first permutation, in
-    itertools order, whose encoding is that minimum.
-
-    _least_labelling finds a labelling with the least encoding by branch and
-    bound: unassigned coordinates read as the next label bound every
-    completion from below, and siblings in the orbit of an explored child,
-    under the automorphisms met so far that fix the labelled elements, are
-    skipped.  When it meets no automorphism that labelling is the only one.
-    Otherwise, unless it is the identity, which comes first of all,
-    _first_labelling_onto searches for the first.
+    element of d goes to label labelling[i].  It is one of the labellings
+    whose encoding is that minimum, the one _least_labelling reaches; when d
+    has automorphisms, others reach the same copy.
     """
     base = d.base
     m = base.size
@@ -376,11 +368,7 @@ def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tup
     rel_names = base.vocab.relation_names()
     fun_names = base.vocab.function_names()
     groups = _labelling_rows(d, rel_names, fun_names)
-    perm = list(range(m))
-    if m > 1:
-        perm, symmetric = _least_labelling(groups, m)
-        if symmetric and perm != sorted(perm):
-            perm = _first_labelling_onto(groups, perm)
+    perm = _least_labelling(groups, m) if m > 1 else list(range(m))
     label = perm.__getitem__
     r = len(rel_names)
     relations = {n: {tuple(map(label, row)) for row in groups[j]} for j, n in enumerate(rel_names)}
@@ -391,48 +379,6 @@ def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tup
     subsets = tuple(frozenset(label(c) for (c,) in rows) for rows in groups[r + len(fun_names):])
     canon_base = FiniteStructure(base.vocab, range(m), relations, functions)
     return DecoratedStructure(canon_base, subsets), tuple(perm)
-
-
-def _first_labelling_onto(groups, target_lab: list[int]) -> list[int]:
-    """The first labelling, in itertools order, with the same image as target_lab.
-
-    Elements are labelled in index order, labels tried ascending.  A row is
-    checked when its largest element is labelled: its image must be a target
-    row.  The target rows among the labels used so far must then be exactly
-    as many as the rows among the elements labelled, so rows match in both
-    directions.
-    """
-    m = len(target_lab)
-    target = [{tuple(target_lab[c] for c in row) for row in rows} for rows in groups]
-    completed_at: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(m)]
-    target_masks: list[list[int]] = [[] for _ in range(m)]
-    for j, rows in enumerate(groups):
-        for row in rows:
-            completed_at[max(row)].append((j, row))
-            mask = 0
-            for c in row:
-                mask |= 1 << target_lab[c]
-            for c in set(row):
-                target_masks[target_lab[c]].append(mask)
-    perm = [0] * m
-
-    def extend(i: int, used: int) -> bool:
-        if i == m:
-            return True
-        for label in range(m):
-            if used >> label & 1:
-                continue
-            perm[i] = label
-            now = used | 1 << label
-            if all(tuple(perm[c] for c in row) in target[j] for j, row in completed_at[i]) and (
-                len(completed_at[i]) == sum(1 for mask in target_masks[label] if not mask & ~now)
-            ) and extend(i + 1, now):
-                return True
-        return False
-
-    extend(0, 0)
-    del extend  # as in _least_labelling
-    return perm
 
 
 def normalize(x):

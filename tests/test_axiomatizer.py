@@ -22,10 +22,17 @@ from structlogic.errors import (
 )
 from structlogic.semantics import enumerate_models, models
 from structlogic.structures import FiniteStructure, canonical_key, normalize, reduct
-from structlogic.syntax import UNBOUNDED, Theory, is_forall_qstruct, subformula_closure
+from structlogic.syntax import (
+    UNBOUNDED,
+    Theory,
+    audit_formula,
+    is_forall_qstruct,
+    subformula_closure,
+)
 from structlogic.vocab import Vocabulary
 
 CAPS3 = Caps(size=3, tuple_len=3)
+GOOD_CLASSES = ("linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks")
 
 
 def lin():
@@ -112,6 +119,14 @@ def test_catalog_witness_generates_the_anchor_closure():
             assert frozenset(prefix.universe) == entry.target.subsets[0]
             whole = cl(reverted, set(entry.witness), lin(), CAPS3).structure
             assert frozenset(whole.universe) == base.universe
+
+
+@pytest.mark.parametrize("name", GOOD_CLASSES)
+@pytest.mark.parametrize("size", [2, 3])
+def test_emitted_sentences_stay_inside_their_vocabulary(name, size):
+    theory, _ = emit_aq_theory(BUILDERS[name](), caps=Caps(size=size))
+    for s in theory.sentences:
+        audit_formula(s, theory.vocabulary)
 
 
 def test_emit_empty_class_is_contradictory():

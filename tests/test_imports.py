@@ -1,13 +1,15 @@
-"""Stdlib-only `ast` lints over the package modules: unused, private and dead
-names, and the memo inventory."""
+"""Stdlib-only `ast` and `argparse` lints over the package modules: unused,
+private and dead names, the memo inventory, and README's CLI synopsis."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import structlogic
+from structlogic.cli import build_parser
 
 PACKAGE = Path(structlogic.__file__).parent
 REPO = Path(__file__).resolve().parent.parent
@@ -197,3 +199,53 @@ def test_every_memo_is_named_in_the_library_map():
     )
     assert len(memos) == 6
     assert documented_memos((REPO / "README.md").read_text(encoding="utf-8")) == memos
+
+
+def long_options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Each subcommand's long options, without --help and the shared --timing."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--") and option not in ("--help", "--timing")
+        }
+        for name, sub in commands.choices.items()
+    }
+
+
+def synopsis_gaps(parser: argparse.ArgumentParser, readme: str) -> dict[str, list[str]]:
+    """Per subcommand, the long options its README synopsis line does not name.
+
+    The synopsis is the first fenced block under "## Command line", one
+    `structlogic <command> ...` line per command; a missing line misses all.
+    """
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    lines = {
+        line.split()[1]: line for line in block.splitlines() if line.startswith("structlogic ")
+    }
+    gaps = {}
+    for name, options in long_options(parser).items():
+        named = set(re.findall(r"--[\w-]+", lines.get(name, "")))
+        if options - named:
+            gaps[name] = sorted(options - named)
+    return gaps
+
+
+def test_lint_flags_synopsis_lines_missing_options():
+    parser = argparse.ArgumentParser(prog="tool")
+    sub = parser.add_subparsers()
+    p = sub.add_parser("run")
+    p.add_argument("--fast", action="store_true")
+    p.add_argument("--out")
+    p.add_argument("--timing", action="store_true")
+    sub.add_parser("stop").add_argument("--now", action="store_true")
+    readme = "# tool\n\n## Command line\n\n```sh\nstructlogic run [--out FILE]\n```\n\n## Next\n"
+    assert synopsis_gaps(parser, readme) == {"run": ["--fast"], "stop": ["--now"]}
+
+
+def test_readme_synopsis_names_every_cli_option():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert synopsis_gaps(build_parser(), readme) == {}

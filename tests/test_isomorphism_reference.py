@@ -26,6 +26,7 @@ from structlogic.structures import (
     relabel,
 )
 from structlogic.vocab import Vocabulary
+from test_labelling_reference import SYMMETRIC
 
 BIN = Vocabulary({"R": 2})
 FUN = Vocabulary(functions={"f": 1})
@@ -209,21 +210,46 @@ def _cases(seed: int, vocab: Vocabulary, max_size: int, count: int):
         yield decorated(base, subsets), decorated(partner, partner_subsets), pins
 
 
+def _symmetric_cases(seed: int):
+    """(src, dst, pins): inputs with many automorphisms against a relabelled copy.
+
+    Each copy is tried with no pin, with one pin along the relabelling, and
+    with one pin onto a random element, which may or may not extend.
+    """
+    rng = random.Random(seed)
+    for name in ("involution-7", "two-triangles-and-a-point", "bare-set-8", "clique-with-loops-7"):
+        s = SYMMETRIC[name]
+        mapping = dict(zip(sorted(s.universe), rng.sample(range(12), s.size)))
+        src, dst = decorated(s), decorated(relabel(s, mapping))
+        a = rng.choice(sorted(s.universe))
+        yield src, dst, {}
+        yield src, dst, {a: mapping[a]}
+        yield src, dst, {a: rng.choice(list(mapping.values()))}
+
+
+def _check_against_backtracking(src, dst, pins) -> bool:
+    """Whether src and dst are isomorphic under pins; find_isomorphism must agree and be valid."""
+    ref = next(reference_isomorphisms(src, dst, pins), None)
+    got = find_isomorphism(src, dst, pins)
+    assert (got is None) == (ref is None), (src, dst, pins)
+    if got is not None:
+        assert is_decorated_isomorphism(src, dst, got)
+        assert all(got[a] == b for a, b in pins.items())
+    return got is not None
+
+
 @pytest.mark.parametrize(
     "vocab, max_size, seed", [(BIN, 6, 1), (BIN, 6, 2), (FUN, 3, 3), (FUN, 3, 4)]
 )
 def test_find_isomorphism_agrees_with_backtracking(vocab, max_size, seed):
-    count, found = 1000, 0
-    for src, dst, pins in _cases(seed, vocab, max_size, count):
-        ref = next(reference_isomorphisms(src, dst, pins), None)
-        got = find_isomorphism(src, dst, pins)
-        assert (got is None) == (ref is None), (src, dst, pins)
-        if got is not None:
-            found += 1
-            assert is_decorated_isomorphism(src, dst, got)
-            assert all(got[a] == b for a, b in pins.items())
+    count = 1000
+    found = sum(
+        _check_against_backtracking(*case) for case in _cases(seed, vocab, max_size, count)
+    )
     # both outcomes occur often enough to mean something
     assert count // 5 < found < count * 4 // 5
+    for case in _symmetric_cases(seed):
+        _check_against_backtracking(*case)
 
 
 def test_find_isomorphism_refuses_bad_arguments():
