@@ -441,7 +441,7 @@ def verify_presentation(
         n_plus = emap.expand(n)
         strong = set(sl.strong(n))
         for part in sl.parts(n):
-            a = n_plus.induced(part.universe)
+            a = sl.expanded_part(emap, n, part)
             if not models(a, emitted, UNBOUNDED):
                 continue
             pairs4 += 1

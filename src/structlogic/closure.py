@@ -74,8 +74,9 @@ class ClassSlice:
     and le verdicts, one spec call per literal argument and never inferred
     from other verdicts; per structure, its closed induced parts (smallest
     first), those of them in the class, those strong in it, the closure of
-    each seed, and its expansions by closure data; and the class members up
-    to the size cap.  A single closure query never enumerates the members.
+    each seed, its expansions by closure data and their induced parts; and
+    the class members up to the size cap.  A single closure query never
+    enumerates the members.  Equal expanded structures are one object.
     """
 
     def __init__(self, spec: ModelClassSpec, caps: Caps):
@@ -140,23 +141,30 @@ class ClassSlice:
         One object per expanded structure lets the evaluator's caches, keyed
         by structure, match it by identity instead of comparing every row.
         """
-        return self._keep(("expanded", expansion, n), lambda: expansion.build(self, n))
+        return self._keep(("expanded", expansion, n), lambda: self._one(expansion.build(self, n)))
+
+    def expanded_part(
+        self, expansion, n: FiniteStructure, part: FiniteStructure
+    ) -> FiniteStructure:
+        """expanded(expansion, n) induced on part's universe, once per (expansion, n, part).
+
+        A part equal to a structure expanded before is that same object, so
+        the evaluator's caches match it by identity too.
+        """
+        return self._keep(
+            ("expanded-part", expansion, n, part),
+            lambda: self._one(self.expanded(expansion, n).induced(part.universe)),
+        )
+
+    def _one(self, s: FiniteStructure) -> FiniteStructure:
+        """The first structure kept here that equals s, else s itself."""
+        return self._keep(("structure", s), lambda: s)
 
 
 @lru_cache(maxsize=16)
 def class_slice(spec: ModelClassSpec, caps: Caps = Caps()) -> ClassSlice:
     """The one lattice kept for (spec, caps); the least recently used go first."""
     return ClassSlice(spec, caps)
-
-
-def strong_submodels(
-    n: FiniteStructure, spec: ModelClassSpec, caps: Caps = Caps()
-) -> list[FiniteStructure]:
-    """Every induced substructure of n that is in the class and below n.
-
-    n itself is always included (class order is reflexive on members).
-    """
-    return list(class_slice(spec, caps).strong(n))
 
 
 def cl(

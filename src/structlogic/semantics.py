@@ -6,6 +6,13 @@ induced target-vocabulary substructure isomorphic to the target, with side
 sets landing exactly on the target's designated subsets.  When the main
 solution set is not closed under the target vocabulary's functions, no such
 substructure exists and the quantifier is false rather than an error.
+
+Each formula node is compiled once, on first use, into a closure
+(structure, assignment) -> bool that is kept on the node; its children's
+closures, variable orders and quantifier slots are fixed at that point.  The
+evaluation memos sit at the binders: `_binder` keeps the truth of a compiled
+Exists/Forall node per structure and parameter values, `_solution_sets` a
+quantifier's solution sets, and `_matches` the target match over them.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import AssignmentError, CapacityError, DomainError, SignatureError
 from .formats import print_formula
@@ -51,42 +59,108 @@ MAX_ELEM_FREE_VARS = 6
 Assignment = dict[str, int]
 
 
-def _eval_term(n: FiniteStructure, t: Term, env: Assignment) -> int:
+def _compiled(phi: Formula):
+    """phi's closure (structure, assignment) -> bool, compiled once and kept on phi."""
+    try:
+        return phi._compiled
+    except AttributeError:
+        pass
+    test = _compile(phi)
+    object.__setattr__(phi, "_compiled", test)
+    return test
+
+
+def _row(names: tuple[str, ...]):
+    """A function from an assignment to the tuple of its values at names."""
+    if len(names) == 1:
+        (name,) = names
+        return lambda env: (env[name],)
+    return itemgetter(*names) if names else lambda env: ()
+
+
+def _term(t: Term):
+    """The term's value as a closure (structure, assignment) -> element."""
     if isinstance(t, Var):
-        return env[t.name]
-    return n.apply(t.fun, tuple(_eval_term(n, a, env) for a in t.args))
+        name = t.name
+        return lambda n, env: env[name]
+    fun = t.fun
+    if all(isinstance(a, Var) for a in t.args):
+        row = _row(tuple(a.name for a in t.args))
+        return lambda n, env: n.apply(fun, row(env))
+    args = tuple(map(_term, t.args))
+    return lambda n, env: n.apply(fun, tuple([a(n, env) for a in args]))
 
 
-def _eval(n: FiniteStructure, phi: Formula, env: Assignment) -> bool:
+def _compile(phi: Formula):
     if isinstance(phi, Atomic):
-        return tuple(_eval_term(n, t, env) for t in phi.terms) in n.rel(phi.rel)
+        rel = phi.rel
+        if all(isinstance(t, Var) for t in phi.terms):
+            row = _row(tuple(t.name for t in phi.terms))
+            return lambda n, env: row(env) in n.rel(rel)
+        terms = tuple(map(_term, phi.terms))
+        return lambda n, env: tuple([t(n, env) for t in terms]) in n.rel(rel)
     if isinstance(phi, Equal):
-        return _eval_term(n, phi.left, env) == _eval_term(n, phi.right, env)
+        left, right = _term(phi.left), _term(phi.right)
+        return lambda n, env: left(n, env) == right(n, env)
     if isinstance(phi, Not):
-        return not _eval(n, phi.body, env)
-    if isinstance(phi, And):
-        return all(_eval(n, f, env) for f in phi.items)
-    if isinstance(phi, Or):
-        return any(_eval(n, f, env) for f in phi.items)
+        body = _compiled(phi.body)
+        return lambda n, env: not body(n, env)
+    if isinstance(phi, (And, Or)):
+        # the first item equal to stop decides; every closure returns a bool
+        items, stop = tuple(map(_compiled, phi.items)), isinstance(phi, Or)
+
+        def junction(n, env):
+            for item in items:
+                if item(n, env) is stop:
+                    return stop
+            return not stop
+
+        return junction
     if not isinstance(phi, (Exists, Forall, QStruct)):
         raise TypeError(f"not a formula: {phi!r}")
-    params = tuple(sorted((v, env[v]) for v in free_vars(phi)))
-    if not isinstance(phi, QStruct):
-        return _eval_binder(n, phi, params)
-    if not phi.target.base.vocab.is_subvocabulary_of(n.vocab):
-        raise SignatureError(
-            "quantifier target vocabulary is not a sub-vocabulary of the structure's"
-        )
-    sets = _solution_sets(n, scopes(phi), params)
-    return _matches(n, phi.target, sets[0], sets[1:])
+    names = tuple(sorted(free_vars(phi)))
+    row = _row(names)
+    if isinstance(phi, QStruct):
+        return _compile_qstruct(phi, names, row)
+    var, body, stop = phi.var, _compiled(phi.body), isinstance(phi, Exists)
+
+    def sweep(n: FiniteStructure, values: tuple) -> bool:
+        env = dict(zip(names, values))
+        for e in sorted(n.universe):
+            env[var] = e
+            if body(n, env) is stop:
+                return stop
+        return not stop
+
+    return lambda n, env: _binder(n, sweep, row(env))
+
+
+def _compile_qstruct(phi: QStruct, names: tuple[str, ...], row):
+    slots, target = scopes(phi), phi.target
+    vocab = target.base.vocab
+    checked = None  # the last structure vocabulary the target's was checked against
+
+    def match(n: FiniteStructure, env: Assignment) -> bool:
+        nonlocal checked
+        if n.vocab is not checked:
+            if not vocab.is_subvocabulary_of(n.vocab):
+                raise SignatureError(
+                    "quantifier target vocabulary is not a sub-vocabulary of the structure's"
+                )
+            checked = n.vocab
+        sets = _solution_sets(n, slots, tuple(zip(names, row(env))))
+        return _matches(n, target, sets[0], sets[1:])
+
+    return match
 
 
 @lru_cache(maxsize=1_000_000)
-def _eval_binder(n: FiniteStructure, phi: Formula, params: tuple) -> bool:
-    """Truth of an Exists/Forall node under its free variables' values."""
-    env = dict(params)
-    found = (_eval(n, phi.body, {**env, phi.var: e}) for e in sorted(n.universe))
-    return any(found) if isinstance(phi, Exists) else all(found)
+def _binder(n: FiniteStructure, sweep, values: tuple) -> bool:
+    """Truth of a compiled Exists/Forall node under its free variables' values.
+
+    sweep is the node's compiled loop, hashed by identity.
+    """
+    return sweep(n, values)
 
 
 @lru_cache(maxsize=400_000)
@@ -96,11 +170,16 @@ def _solution_sets(n: FiniteStructure, slots: tuple, params: tuple) -> tuple:
     Keyed by a quantifier's slots rather than its node, so the disjuncts of a
     type disjunction, which differ only in their targets, share one entry.
     """
-    env = dict(params)
-    return tuple(
-        frozenset(e for e in sorted(n.universe) if _eval(n, body, {**env, x: e}))
-        for x, body in slots
-    )
+    elems = sorted(n.universe)
+    sets = []
+    for x, body in slots:
+        test, env, found = _compiled(body), dict(params), []
+        for e in elems:
+            env[x] = e
+            if test(n, env):
+                found.append(e)
+        sets.append(frozenset(found))
+    return tuple(sets)
 
 
 @lru_cache(maxsize=400_000)
@@ -135,7 +214,7 @@ def eval(  # noqa: A001 - interface name fixed by contract
         if env[var] not in n.universe:
             raise DomainError(f"assignment sends {var!r} outside the universe")
     check_kappa(phi, kappa)
-    return _eval(n, phi, env)
+    return _compiled(phi)(n, env)
 
 
 def solution_set(
@@ -251,8 +330,9 @@ def elem_F(
         return ElemReport(False, "not-substructure")
     elems = sorted(n1.universe)
     for phi in f:
+        test = _compiled(phi)
         for env in _assignments(elems, phi, kappa):
-            if _eval(n1, phi, env) != _eval(n2, phi, env):
+            if test(n1, env) != test(n2, env):
                 return ElemReport(
                     False,
                     "truth-disagreement",

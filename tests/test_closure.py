@@ -12,7 +12,6 @@ from structlogic.closure import (
     class_slice,
     enumerate_DK,
     galois_equiv,
-    strong_submodels,
     verify_intersections,
 )
 from structlogic.corpus import BUILDERS, bare_set, chain
@@ -26,7 +25,7 @@ def lin():
 
 
 def test_strong_submodels_of_chain_are_initial_segments():
-    subs = strong_submodels(chain(3), lin(), CAPS)
+    subs = class_slice(lin(), CAPS).strong(chain(3))
     assert sorted((s.universe for s in subs), key=len) == [
         frozenset(),
         frozenset({0}),
@@ -39,7 +38,7 @@ def test_strong_submodels_always_include_self():
     for spec_name in ("linear-orders", "triangle-free", "frozen-predicate"):
         spec = BUILDERS[spec_name]()
         for n in spec.members(3):
-            assert n in strong_submodels(n, spec, CAPS)
+            assert n in class_slice(spec, CAPS).strong(n)
 
 
 def test_cl_pulls_in_predecessors():
