@@ -126,7 +126,7 @@ def _compile(phi: Formula):
 
     def sweep(n: FiniteStructure, values: tuple) -> bool:
         env = dict(zip(names, values))
-        for e in sorted(n.universe):
+        for e in n.elements:
             env[var] = e
             if body(n, env) is stop:
                 return stop
@@ -170,7 +170,7 @@ def _solution_sets(n: FiniteStructure, slots: tuple, params: tuple) -> tuple:
     Keyed by a quantifier's slots rather than its node, so the disjuncts of a
     type disjunction, which differ only in their targets, share one entry.
     """
-    elems = sorted(n.universe)
+    elems = n.elements
     sets = []
     for x, body in slots:
         test, env, found = _compiled(body), dict(params), []
@@ -264,8 +264,6 @@ def enumerate_models(
     if hereditary:
         if not up_to_iso:
             raise CapacityError("hereditary enumeration only produces one copy per type")
-        if vocab.functions:
-            raise SignatureError("hereditary enumeration requires a function-free vocabulary")
         yield from enumerate_hereditary(vocab, max_size, lambda s: models(s, t, kappa), max_raw)
         return
     for s in enumerate_structures(vocab, max_size, up_to_iso=up_to_iso, max_raw=max_raw):
@@ -294,7 +292,7 @@ class ElemReport:
 _OK = ElemReport(True, "ok")
 
 
-def _assignments(elems: list[int], phi: Formula, kappa: KappaThreshold):
+def _assignments(elems: tuple[int, ...], phi: Formula, kappa: KappaThreshold):
     """Every assignment of phi's free variables into elems, sorted.
 
     phi is checked once, before its first assignment: its free variables
@@ -328,7 +326,7 @@ def elem_F(
     """
     if not n1.is_substructure_of(n2):
         return ElemReport(False, "not-substructure")
-    elems = sorted(n1.universe)
+    elems = n1.elements
     for phi in f:
         test = _compiled(phi)
         for env in _assignments(elems, phi, kappa):
@@ -358,7 +356,7 @@ def elem_F_star(
     base = elem_F(n1, n2, f, kappa)
     if not base:
         return base
-    elems = sorted(n1.universe)
+    elems = n1.elements
     for chi in f.qstruct_members():
         slots = scopes(chi)
         for env in _assignments(elems, chi, kappa):

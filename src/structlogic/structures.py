@@ -11,6 +11,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import ArityError, CapacityError, DomainError, PinError, SignatureError
 from .vocab import Vocabulary
@@ -82,6 +83,11 @@ class FiniteStructure:
     @property
     def key(self):
         return self._key
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The universe in increasing order."""
+        return self._key[1]
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         try:
@@ -250,7 +256,7 @@ def _labelling_rows(d: DecoratedStructure, rel_names, fun_names) -> list[list[tu
     fixed row count and arity, so comparing two labellings' sorted groups in
     turn is comparing their (relations, functions, subsets) encodings.
     """
-    index = {e: i for i, e in enumerate(sorted(d.base.universe))}.__getitem__
+    index = {e: i for i, e in enumerate(d.base.elements)}.__getitem__
     groups = [[tuple(map(index, t)) for t in d.base.rel(n)] for n in rel_names]
     groups += [
         [(*map(index, args), index(v)) for args, v in d.base.fun(n).items()] for n in fun_names
@@ -427,8 +433,8 @@ def find_isomorphism(src, dst, pins: Mapping[int, int] | None = None) -> dict[in
     )
     if canon_src != canon_dst:
         return None
-    dst_of = dict(zip(from_label, sorted(dst.base.universe)))
-    return {e: dst_of[label] for e, label in zip(sorted(src.base.universe), to_label)}
+    dst_of = dict(zip(from_label, dst.base.elements))
+    return {e: dst_of[label] for e, label in zip(src.base.elements, to_label)}
 
 
 # ---------------------------------------------------------------------------
@@ -473,32 +479,77 @@ def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
         yield FiniteStructure(vocab, elems, rels, funs)
 
 
+def _invariant_fields(vocab: Vocabulary, k: int) -> dict[str, list[int]]:
+    """Per relation, the packed-int field of each set of positions a point can fill in a row.
+
+    Field (name, mask) counts the rows of that relation in which the point
+    fills exactly the positions in mask.  A field of a k-point structure
+    counts at most k**arity rows, so the fields never carry into each other
+    and comparing packed ints compares the counts in field order.
+    """
+    fields, shift = {}, 0
+    for name in vocab.relation_names():
+        arity = vocab.rel_arity(name)
+        width = (k**arity).bit_length()
+        fields[name] = [0] + [1 << (shift + width * i) for i in range((1 << arity) - 1)]
+        shift += width * ((1 << arity) - 1)
+    return fields
+
+
+def _point_invariants(relations: Mapping[str, Iterable[tuple[int, ...]]], fields, k: int):
+    """Each point's packed row counts in the given relations' fields, for points 0..k-1."""
+    inv = [0] * k
+    for name, rows in relations.items():
+        field = fields[name]
+        for row in rows:
+            masks = {}
+            for i, c in enumerate(row):
+                masks[c] = masks.get(c, 0) | 1 << i
+            for c, mask in masks.items():
+                inv[c] += field[mask]
+    return inv
+
+
 def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 5_000_000):
     """Canonical representatives of the structures keep accepts, smallest first.
 
     Relational vocabularies only.  Size k is grown from one-point extensions
-    of the size-(k-1) representatives kept, so the output is every type up
-    to max_size exactly when keep holds of each induced substructure of a
-    structure it accepts (every structure extends one of its one-point
-    deletions).  Within each size, representatives are sorted by canonical key.
+    of the size-(k-1) representatives kept, and keep must be hereditary: it
+    holds of each induced substructure of a structure it accepts.  Within
+    each size, representatives are sorted by canonical key.
+
+    Only an extension whose new point k-1 has the largest invariant is
+    labelled (McKay, "Isomorph-free exhaustive generation", 1998).  A point's
+    invariant counts, per relation, the rows it fills, split by the set of
+    positions it fills in the row.  Each type keep accepts has a point w of
+    largest invariant; deleting w leaves a type keep accepts, and the
+    extension of its representative whose new point plays w's role passes.
+    So the output is every accepted type up to max_size, as when every
+    extension is labelled; when keep is not hereditary, types may be lost.
+    max_raw counts every extension, labelled or not.
     """
+    if vocab.functions:
+        raise SignatureError("hereditary enumeration requires a function-free vocabulary")
     names = vocab.relation_names()
     budget = 0
     level = [s for s in (FiniteStructure(vocab, ()),) if keep(s)]
     yield from level
     for k in range(1, max_size + 1):
         elems = list(range(k))
+        fields = _invariant_fields(vocab, k)
         spaces = []
         for n in names:
             cells = sorted(
                 t for t in itertools.product(elems, repeat=vocab.rel_arity(n)) if k - 1 in t
             )
-            spaces.append([
-                frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
-                for mask in range(1 << len(cells))
-            ])
+            space = []
+            for mask in range(1 << len(cells)):
+                rows = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+                space.append((rows, _point_invariants({n: rows}, fields, k)))
+            spaces.append(space)
         seen = {}
         for rep in level:
+            base = _point_invariants({n: rep.rel(n) for n in names}, fields, k)
             for combo in itertools.product(*spaces):
                 budget += 1
                 if budget > max_raw:
@@ -507,7 +558,12 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
                         count=budget,
                         limit=max_raw,
                     )
-                rels = {n: rep.rel(n) | combo[j] for j, n in enumerate(names)}
+                inv = base
+                for _, counts in combo:
+                    inv = list(map(add, inv, counts))
+                if inv[-1] < max(inv):
+                    continue
+                rels = {n: rep.rel(n) | combo[j][0] for j, n in enumerate(names)}
                 canon = normalize(FiniteStructure(vocab, elems, rels))
                 seen.setdefault(canon.key, canon)
         level = [seen[key] for key in sorted(seen) if keep(seen[key])]

@@ -20,6 +20,7 @@ from structlogic.corpus import (
     write_corpus_files,
 )
 from structlogic.errors import CapacityError
+from structlogic.semantics import enumerate_models
 from structlogic.structures import FiniteStructure, normalize, relabel
 from structlogic.vocab import Vocabulary
 
@@ -58,6 +59,16 @@ def test_member_counts_up_to_iso():
         "frozen-predicate": 10,
         "bounded-blocks": 6,
     }
+
+
+@pytest.mark.parametrize("name", GOOD)
+def test_hereditary_flag_holds(name):
+    # members() grows models by one-point extensions of smaller models, which
+    # finds every model only when the class is closed under substructures
+    spec = load_corpus_class(name)
+    assert spec.hereditary
+    every = enumerate_models(spec.theory, max_size=4, kappa=spec.kappa, up_to_iso=True)
+    assert spec.members(4) == tuple(every)
 
 
 def test_linear_order_le_is_initial_segment():

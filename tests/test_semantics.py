@@ -8,7 +8,13 @@ from genpool import BIN_VOCAB, FUN_VOCAB, qstruct_pool
 from oracles import oracle_eval
 from structlogic import semantics
 from structlogic.corpus import bare_set
-from structlogic.errors import AssignmentError, CapacityError, DomainError, KappaError
+from structlogic.errors import (
+    AssignmentError,
+    CapacityError,
+    DomainError,
+    KappaError,
+    SignatureError,
+)
 from structlogic.semantics import (
     MAX_ELEM_FREE_VARS,
     elem_F,
@@ -313,6 +319,11 @@ def test_hereditary_enumeration_matches_raw():
     raw = list(enumerate_models(LIN_THEORY, LT, 4, up_to_iso=True))
     grown = list(enumerate_models(LIN_THEORY, LT, 4, up_to_iso=True, hereditary=True))
     assert raw == grown
+
+
+def test_hereditary_enumeration_rejects_functions():
+    with pytest.raises(SignatureError, match="function-free"):
+        next(enumerate_models(Theory("empty", FUN, ()), max_size=2, hereditary=True))
 
 
 FRAG = subformula_closure(

@@ -11,8 +11,10 @@ from structlogic.errors import CapacityError, DomainError, SignatureError
 from structlogic.structures import (
     DecoratedStructure,
     FiniteStructure,
+    _canonical_labelling,
     canonical_key,
     decorated,
+    enumerate_hereditary,
     enumerate_structures,
     find_isomorphism,
     generated_substructure,
@@ -142,6 +144,28 @@ def test_enumerate_structures_unary_function_counts():
 def test_enumerate_structures_reps_are_canonical():
     for s in enumerate_structures(GRAPH, 3, up_to_iso=True):
         assert normalize(s) == s
+
+
+def test_enumerate_hereditary_rejects_functions_first():
+    with pytest.raises(SignatureError, match="function-free"):
+        next(enumerate_hereditary(UNARY_FUN, 2, lambda s: True))
+
+
+def test_raw_cap_counts_every_extension():
+    # 2 + 16 + 320 + 13312 one-point extensions, labelled or not
+    binary = Vocabulary({"R": 2})
+    assert len(list(enumerate_structures(binary, 4, up_to_iso=True, max_raw=13650))) == 3161
+    with pytest.raises(CapacityError) as err:
+        list(enumerate_structures(binary, 4, up_to_iso=True, max_raw=13649))
+    assert err.value.count == 13650
+
+
+def test_enumeration_labels_few_extensions_per_type():
+    # labelling every extension costs 13650 labellings for the 3161 types
+    _canonical_labelling.cache_clear()
+    types = sum(1 for _ in enumerate_structures(Vocabulary({"R": 2}), 4, up_to_iso=True))
+    assert types == 3161
+    assert _canonical_labelling.cache_info().misses < 2 * types
 
 
 def test_generated_substructure_closes_under_functions():
