@@ -32,8 +32,9 @@ from .semantics import elem_F_star, enumerate_models, eval as eval_formula, mode
 from .structures import (
     DecoratedStructure,
     FiniteStructure,
+    canonical_key,
     decorated,
-    enumerate_structures,
+    enumerate_hereditary,
     find_isomorphism,
     normalize,
     reduct,
@@ -495,27 +496,18 @@ def tarski_universal_theory(
                     "class is not closed under induced substructures",
                     witness=(n, sorted(m.universe)),
                 )
-    excluded: list[FiniteStructure] = []
-    for s in enumerate_structures(vocab, caps.size, up_to_iso=True):
-        if not spec.contains(s):
-            excluded.append(s)
-    keys_below = {
-        size: {x.key for x in excluded if x.size < size}
-        for size in {s.size for s in excluded}
-    }
-    minimal = []
-    for s in excluded:
-        keys = keys_below[s.size]
-        proper_excluded = False
-        for k in range(s.size):
-            for combo in itertools.combinations(sorted(s.universe), k):
-                if normalize(s.induced(combo)).key in keys:
-                    proper_excluded = True
-                    break
-            if proper_excluded:
-                break
-        if not proper_excluded:
-            minimal.append(s)
+    # The types whose one-point deletions are all members are the members and
+    # the minimal excluded types.  The members are closed under induced
+    # substructures, so this predicate is hereditary and the growth finds
+    # every such type, sorted by size and then by key.
+    member_keys = {canonical_key(m) for m in sl.members}
+
+    def below_members(s: FiniteStructure) -> bool:
+        return all(canonical_key(s.induced(s.universe - {p})) in member_keys for p in s.universe)
+
+    minimal = [
+        s for s in enumerate_hereditary(vocab, caps.size, below_members) if not spec.contains(s)
+    ]
     sentences = [_forbidden_diagram(s) for s in minimal]
     theory = Theory(f"{spec.name}-universal", vocab, tuple(sentences))
     produced = {
@@ -686,7 +678,7 @@ class MorleyizationMap:
 
 
 def galois_morleyization(
-    spec: ModelClassSpec, arity_cap: int | None = None, caps: Caps = Caps()
+    spec: ModelClassSpec, arity_cap: int = 2, caps: Caps = Caps()
 ) -> tuple[MorleyizationMap, VerificationReport]:
     """Expand members with one relation per anchored-closure type.
 
@@ -695,8 +687,6 @@ def galois_morleyization(
     caps, plain substructure between expanded members coincides with the
     class order — it is measured, never assumed.
     """
-    if arity_cap is None:
-        arity_cap = caps.tuple_len
     inter = verify_intersections(spec, caps)
     if not inter.ok:
         raise IntersectionFailure(

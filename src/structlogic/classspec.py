@@ -28,6 +28,7 @@ from .structures import (
     FiniteStructure,
     canonical_key,
     decorated,
+    enumerate_hereditary,
     relabel,
 )
 from .syntax import Fragment, KappaThreshold, Theory, UNBOUNDED, subformula_closure
@@ -40,7 +41,6 @@ class Caps:
     """Resolution bounds for verification sweeps."""
 
     size: int = 4
-    tuple_len: int = 2
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,10 @@ class DefinedClass:
 
     def members(self, max_size: int | None = None) -> tuple[FiniteStructure, ...]:
         cap = self.size_cap if max_size is None else min(max_size, self.size_cap)
+        if not self.hereditary:
+            return tuple(enumerate_models(self.theory, max_size=cap, kappa=self.kappa))
         return tuple(
-            enumerate_models(
-                self.theory,
-                max_size=cap,
-                kappa=self.kappa,
-                up_to_iso=True,
-                hereditary=self.hereditary,
-            )
+            enumerate_hereditary(self.vocabulary, cap, lambda s: models(s, self.theory, self.kappa))
         )
 
     def contains(self, n: FiniteStructure) -> bool:

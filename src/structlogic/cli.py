@@ -58,15 +58,9 @@ def _parse_kappa(text: str) -> KappaThreshold:
 
 
 def _parse_caps(text: str) -> Caps:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return Caps(size=int(parts[0]))
-        if len(parts) == 2:
-            return Caps(size=int(parts[0]), tuple_len=int(parts[1]))
-    except ValueError:
-        pass
-    raise ShapeError(f"--caps takes SIZE or SIZE,TUPLE_LEN, not {text!r}")
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"takes one size of at least 0, not {text!r}")
+    return Caps(size=int(text))
 
 
 def _parse_assignment(text: str | None) -> dict[str, int]:
@@ -180,7 +174,7 @@ def cli_closure(args) -> int:
     structure = formats.parse_structure(_read(args.structure))
     subset = _parse_subset(args.subset)
     spec = load_class_spec(args.spec)
-    caps = _parse_caps(args.caps)
+    caps = args.caps
     result = cl(structure, subset, spec, caps)
     print(formats.print_structure(result.structure))
     print(f"strong-submodel {'true' if result.is_strong else 'false'}")
@@ -189,7 +183,7 @@ def cli_closure(args) -> int:
 
 def cli_verify(args) -> int:
     spec = load_class_spec(args.spec)
-    caps = _parse_caps(args.caps)
+    caps = args.caps
     if args.check == "intersections":
         report = verify_intersections(spec, caps)
     elif args.check == "cl-coherence":
@@ -204,7 +198,7 @@ def cli_verify(args) -> int:
 
 def cli_emit(args) -> int:
     spec = load_class_spec(args.spec)
-    caps = _parse_caps(args.caps)
+    caps = args.caps
     try:
         theory, catalog = emit_aq_theory(spec, caps=caps)
     except (IntersectionFailure, EmissionError) as err:
@@ -232,7 +226,7 @@ def cli_emit(args) -> int:
 
 def cli_roundtrip(args) -> int:
     spec = load_class_spec(args.spec)
-    caps = _parse_caps(args.caps)
+    caps = args.caps
     command = f"roundtrip {os.path.basename(args.spec)}"
     try:
         theory, catalog = emit_aq_theory(spec, caps=caps)
@@ -274,7 +268,7 @@ def cli_translate(args) -> int:
 
 def cli_dk(args) -> int:
     spec = load_class_spec(args.spec)
-    caps = _parse_caps(args.caps)
+    caps = args.caps
     reps = enumerate_DK(spec, max_tuple_len=args.tuple_len, caps=caps)
     counts: dict[str, int] = {}
     for rep in reps:
@@ -299,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, caps=False, kappa=False):
         p.add_argument("--timing", action="store_true", help="wall time to stderr")
         if caps:
-            p.add_argument("--caps", default="4,2", help="SIZE or SIZE,TUPLE_LEN")
+            p.add_argument(
+                "--caps", type=_parse_caps, default=Caps(), metavar="SIZE", help="size cap"
+            )
         if kappa:
             p.add_argument("--kappa", default="unbounded", help="positive int or 'unbounded'")
 

@@ -50,7 +50,9 @@ from .syntax import (
     UNBOUNDED,
     Var,
     check_kappa,
+    forall_prefix,
     free_vars,
+    is_quantifier_free,
     scopes,
 )
 
@@ -250,20 +252,21 @@ def enumerate_models(
     max_size: int = 4,
     kappa: KappaThreshold = UNBOUNDED,
     up_to_iso: bool = True,
-    hereditary: bool = False,
     max_raw: int = 5_000_000,
 ):
     """Models of the theory with universe size up to max_size, smallest first.
 
-    With hereditary=True (sound only when the model class is closed under
-    induced substructures, which requires a function-free vocabulary) models
-    are grown by one-point extensions of smaller models, skipping the raw
-    structure space entirely.
+    Up to isomorphism over a vocabulary without functions, a theory whose
+    sentences are universal over quantifier-free matrices is grown one point
+    at a time: its models are closed under induced substructures
+    (Łoś–Tarski), so enumerate_hereditary finds each of them.  Every other
+    theory filters the structure stream.  Both give the same structures in
+    the same order.
     """
     vocab = vocab or t.vocabulary
-    if hereditary:
-        if not up_to_iso:
-            raise CapacityError("hereditary enumeration only produces one copy per type")
+    if up_to_iso and not vocab.functions and all(
+        is_quantifier_free(forall_prefix(s)[1]) for s in t.sentences
+    ):
         yield from enumerate_hereditary(vocab, max_size, lambda s: models(s, t, kappa), max_raw)
         return
     for s in enumerate_structures(vocab, max_size, up_to_iso=up_to_iso, max_raw=max_raw):

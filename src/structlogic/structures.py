@@ -530,6 +530,8 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
     """
     if vocab.functions:
         raise SignatureError("hereditary enumeration requires a function-free vocabulary")
+    if max_size < 0:
+        return
     names = vocab.relation_names()
     budget = 0
     level = [s for s in (FiniteStructure(vocab, ()),) if keep(s)]

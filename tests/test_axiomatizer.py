@@ -31,7 +31,7 @@ from structlogic.syntax import (
 )
 from structlogic.vocab import Vocabulary
 
-CAPS3 = Caps(size=3, tuple_len=3)
+CAPS3 = Caps(size=3)
 GOOD_CLASSES = ("linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks")
 
 
@@ -236,7 +236,7 @@ def test_tarski_universal_theory_rejects_non_closed():
 
 def test_tarski_specialize_matches_class():
     spec = BUILDERS["triangle-free"]()
-    caps = Caps(size=3, tuple_len=3)
+    caps = Caps(size=3)
     emitted, catalog = emit_aq_theory(spec, caps=caps)
     specialized = tarski_specialize(emitted, catalog, spec.theory.vocabulary)
     produced = {
@@ -265,7 +265,7 @@ def test_tarski_specialize_refuses_the_empty_class():
 
 
 def test_galois_morleyization_linear_orders():
-    mmap, report = galois_morleyization(lin(), caps=CAPS3)
+    mmap, report = galois_morleyization(lin(), arity_cap=3, caps=CAPS3)
     assert report.ok
     expanded = mmap.expand(chain(2))
     gt_names = [n for n in expanded.vocab.relation_names() if n.startswith("gt")]
@@ -280,6 +280,6 @@ def test_galois_morleyization_linear_orders():
 
 
 def test_galois_morleyization_reports_model_completeness():
-    _, report = galois_morleyization(lin(), caps=CAPS3)
+    _, report = galois_morleyization(lin(), arity_cap=3, caps=CAPS3)
     names = [c.name for c in report.checks]
     assert "model-completeness" in names

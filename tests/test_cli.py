@@ -136,6 +136,12 @@ def test_models_jobs_is_a_usage_error(lin_theory, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iso", [[], ["--up-to-iso"]], ids=["raw", "up-to-iso"])
+def test_models_below_size_zero_prints_no_structure(lin_theory, iso, capsys):
+    assert main(["models", lin_theory, "--max-size", "-1", *iso]) == 0
+    assert capsys.readouterr().out == "count 0\n"
+
+
 def test_elem_star_accepts_initial_segment(chain2, chain3, lin_theory, capsys):
     assert main(["elem", chain2, chain3, lin_theory, "--star"]) == 0
     assert capsys.readouterr().out == "verdict true\n"
@@ -212,7 +218,7 @@ def test_emit_stdout_mode_keeps_summary_on_stderr(capsys):
 
 
 def test_roundtrip_passes_at_small_caps(capsys):
-    assert main(["roundtrip", LIN, "--caps", "2,2"]) == 0
+    assert main(["roundtrip", LIN, "--caps", "2"]) == 0
     out = capsys.readouterr().out
     for name in (
         "models-satisfy-theory",
@@ -224,9 +230,18 @@ def test_roundtrip_passes_at_small_caps(capsys):
 
 
 def test_roundtrip_reports_emission_failure(capsys):
-    assert main(["roundtrip", BROKEN, "--caps", "4,2"]) == 1
+    assert main(["roundtrip", BROKEN, "--caps", "4"]) == 1
     out = capsys.readouterr().out
     assert "emission" in out and "fail" in out
+
+
+@pytest.mark.parametrize("caps", ["4,2", "-1"])
+def test_caps_takes_one_size_of_at_least_zero(caps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roundtrip", LIN, "--caps", caps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--caps" in err
 
 
 def test_translate_univ_gen(tmp_path, capsys):

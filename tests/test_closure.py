@@ -17,7 +17,7 @@ from structlogic.closure import (
 from structlogic.corpus import BUILDERS, bare_set, chain
 from structlogic.errors import ArityError, CapacityError, DomainError
 
-CAPS = Caps(size=4, tuple_len=2)
+CAPS = Caps(size=4)
 
 
 def lin():

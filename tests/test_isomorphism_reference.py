@@ -272,7 +272,7 @@ def test_galois_equiv_agrees_with_brute_decorated_isomorphism(name):
     far; galois_equiv and the brute check must agree on each comparison.
     """
     spec = BUILDERS[name]()
-    caps = Caps(size=4, tuple_len=2)
+    caps = Caps(size=4)
     sl = class_slice(spec, caps)
     compared = 0
     for length in range(3):

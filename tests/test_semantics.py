@@ -7,13 +7,14 @@ import pytest
 from genpool import BIN_VOCAB, FUN_VOCAB, qstruct_pool
 from oracles import oracle_eval
 from structlogic import semantics
-from structlogic.corpus import bare_set
+from structlogic.axiomatizer import tarski_universal_theory
+from structlogic.classspec import Caps
+from structlogic.corpus import BUILDERS, bare_set
 from structlogic.errors import (
     AssignmentError,
     CapacityError,
     DomainError,
     KappaError,
-    SignatureError,
 )
 from structlogic.semantics import (
     MAX_ELEM_FREE_VARS,
@@ -24,10 +25,17 @@ from structlogic.semantics import (
     solution_set,
 )
 from structlogic.semantics import eval as ev
-from structlogic.structures import FiniteStructure, decorated, enumerate_structures, relabel
+from structlogic.structures import (
+    FiniteStructure,
+    decorated,
+    enumerate_hereditary,
+    enumerate_structures,
+    relabel,
+)
 from structlogic.syntax import (
     UNBOUNDED,
     And,
+    App,
     Fragment,
     Atomic,
     Equal,
@@ -315,15 +323,61 @@ def test_enumerate_models_size_zero():
     assert [s.size for s in enumerate_models(LIN_THEORY, LT, 0)] == [0]
 
 
-def test_hereditary_enumeration_matches_raw():
-    raw = list(enumerate_models(LIN_THEORY, LT, 4, up_to_iso=True))
-    grown = list(enumerate_models(LIN_THEORY, LT, 4, up_to_iso=True, hereditary=True))
-    assert raw == grown
+def _filtered(t: Theory, vocab: Vocabulary, max_size: int, up_to_iso: bool = True):
+    stream = enumerate_structures(vocab, max_size, up_to_iso=up_to_iso)
+    return [s for s in stream if models(s, t)]
 
 
-def test_hereditary_enumeration_rejects_functions():
-    with pytest.raises(SignatureError, match="function-free"):
-        next(enumerate_models(Theory("empty", FUN, ()), max_size=2, hereditary=True))
+# plain universal, but over a function vocabulary: filtered, not grown
+FIXED_POINTS = Theory("fixed", FUN, (Forall("x", Equal(App("f", (Var("x"),)), Var("x"))),))
+
+
+def _triangle_free_universal() -> Theory:
+    return tarski_universal_theory(BUILDERS["triangle-free"](), Caps(size=3))
+
+
+@pytest.mark.parametrize(
+    "theory, vocab, max_size, up_to_iso",
+    [
+        (lambda: LIN_THEORY, LT, 4, True),
+        (_triangle_free_universal, Vocabulary({"E": 2}), 4, True),
+        (lambda: Theory("none", LT, ()), LT, 3, True),
+        (lambda: LIN_THEORY, Vocabulary({"lt": 2, "P": 1}), 3, True),
+        (lambda: LIN_THEORY, LT, 3, False),
+        (lambda: FIXED_POINTS, FUN, 3, True),
+    ],
+    ids=[
+        "linear-orders",
+        "triangle-free-universal",
+        "no-sentences",
+        "wider-vocab",
+        "raw",
+        "functions",
+    ],
+)
+def test_enumerate_models_matches_filtered_stream(theory, vocab, max_size, up_to_iso):
+    t = theory()
+    want = _filtered(t, vocab, max_size, up_to_iso)
+    assert want
+    assert list(enumerate_models(t, vocab, max_size, up_to_iso=up_to_iso)) == want
+
+
+def test_enumerate_models_does_not_grow_a_structure_quantifier_theory():
+    # every model has exactly two points or none, so no model has a
+    # one-point model below it: growing from the empty structure finds no other
+    pair = qstruct(bare_set(2), "x", (), Equal(Var("x"), Var("x")), ())
+    t = Theory("pairs", Vocabulary({"R": 2}), (Forall("z", pair),))
+    found = list(enumerate_models(t, max_size=3))
+    assert [m.size for m in found] == [0] + [2] * 10
+    assert found == _filtered(t, t.vocabulary, 3)
+
+
+def test_negative_sizes_enumerate_nothing():
+    for vocab, up_to_iso in ((LT, False), (LT, True), (FUN, True)):
+        assert list(enumerate_structures(vocab, -1, up_to_iso=up_to_iso)) == []
+    assert list(enumerate_hereditary(LT, -1, lambda s: True)) == []
+    for up_to_iso in (False, True):
+        assert list(enumerate_models(LIN_THEORY, LT, -1, up_to_iso=up_to_iso)) == []
 
 
 FRAG = subformula_closure(
