@@ -11,7 +11,6 @@ that tests whether the class order collapses to plain substructure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .classspec import Caps, ModelClassSpec
 from .closure import PointedModel, class_slice, enumerate_DK, verify_intersections
@@ -21,6 +20,7 @@ from .errors import (
     SignatureError,
     UniversalityError,
 )
+from .records import record
 from .reports import (
     FAIL,
     PASS,
@@ -82,7 +82,7 @@ def expanded_vocabulary(base: Vocabulary, arity_cap: int) -> Vocabulary:
     return base.union(Vocabulary(extra))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExpansionMap:
     """Members enriched with closure relations; reduct is the identity."""
 
@@ -149,7 +149,7 @@ def functorial_expansion(
 # theory emission
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogEntry:
     """One disjunct: a decorated expanded target plus the tuple that built it."""
 
@@ -157,7 +157,7 @@ class CatalogEntry:
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PairCatalog:
     """Targets for each tuple-length pair (m, k), m the frozen prefix length."""
 
@@ -649,7 +649,7 @@ def _replace_closure_atoms(phi: Formula) -> Formula:
 # type-indexed expansion
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorleyizationMap:
     """One relation per anchored-closure type; arity is the anchor length."""
 

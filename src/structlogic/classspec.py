@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import sexpr
 from .errors import CapacityError, ParseError, ShapeError
+from .records import field, record
 from .reports import (
     FAIL,
     NOT_FINITELY_TESTABLE,
@@ -36,14 +36,14 @@ from .formats import structure_from_node, structure_to_node, theory_from_node, t
 from .vocab import EMPTY_VOCABULARY
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Caps:
     """Resolution bounds for verification sweeps."""
 
     size: int = 4
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DefinedClass:
     """Models of a theory up to a size cap, ordered by starred elementarity."""
 
@@ -78,7 +78,7 @@ class DefinedClass:
         return elem_F_star(m, n, self.fragment, self.kappa)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExplicitClass:
     """A finite list of representatives with an order table over their indices.
 

@@ -4,21 +4,19 @@ Exit codes: 0 for success (and a true verdict), 1 for a failed verification
 or a false verdict, 2 for usage and parse errors.  Everything written to
 stdout is byte-identical across runs for fixed inputs and flags; wall-clock
 timing is opt-in and goes to stderr only.
+
+Each command imports the layers it runs when it runs, so a short command
+does not load the class, closure and emission code it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
 
 from . import formats
-from .axiomatizer import emit_aq_theory, verify_presentation
-from .classspec import Caps, check_class_properties, check_coherence, load_class_spec
-from .closure import check_cl_coherence, cl, enumerate_DK, verify_intersections
 from .errors import (
     EmissionError,
     IntersectionFailure,
@@ -26,9 +24,6 @@ from .errors import (
     StructLogicError,
     UniversalityError,
 )
-from .reports import FAIL, VerificationReport
-from .semantics import elem_F, elem_F_star, enumerate_models
-from .semantics import eval as eval_formula
 from .syntax import (
     UNBOUNDED,
     KappaThreshold,
@@ -36,12 +31,6 @@ from .syntax import (
     children,
     free_vars,
     subformula_closure,
-)
-from .translate import (
-    eliminate_subvocab,
-    qstruct_to_counting,
-    scott_sentence,
-    univ_gen_rewrite,
 )
 
 # ---------------------------------------------------------------------------
@@ -57,10 +46,20 @@ def _parse_kappa(text: str) -> KappaThreshold:
         raise ShapeError(f"--kappa takes a positive integer or 'unbounded', not {text!r}")
 
 
-def _parse_caps(text: str) -> Caps:
+def _at_least_zero(text: str, noun: str) -> int:
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"takes one size of at least 0, not {text!r}")
-    return Caps(size=int(text))
+        raise argparse.ArgumentTypeError(f"takes one {noun} of at least 0, not {text!r}")
+    return int(text)
+
+
+def _parse_caps(text: str):
+    from .classspec import Caps
+
+    return Caps(size=_at_least_zero(text, "size"))
+
+
+def _parse_tuple_len(text: str) -> int:
+    return _at_least_zero(text, "length")
 
 
 def _parse_assignment(text: str | None) -> dict[str, int]:
@@ -98,7 +97,7 @@ def _require_qstruct(phi) -> QStruct:
     return phi
 
 
-def _emit_report(report: VerificationReport) -> int:
+def _emit_report(report) -> int:
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
@@ -121,6 +120,8 @@ def _subformula_walk(phi):
 
 
 def cli_eval(args) -> int:
+    from .semantics import eval as eval_formula
+
     structure = formats.parse_structure(_read(args.structure))
     phi = formats.parse_formula(_read(args.formula))
     env = _parse_assignment(args.assign)
@@ -138,6 +139,8 @@ def cli_eval(args) -> int:
 
 
 def cli_models(args) -> int:
+    from .semantics import enumerate_models
+
     theory = formats.parse_theory(_read(args.theory))
     vocab = formats.parse_vocab(_read(args.vocab)) if args.vocab else theory.vocabulary
     kappa = _parse_kappa(args.kappa)
@@ -150,6 +153,8 @@ def cli_models(args) -> int:
 
 
 def cli_elem(args) -> int:
+    from .semantics import elem_F, elem_F_star
+
     n1 = formats.parse_structure(_read(args.struct1))
     n2 = formats.parse_structure(_read(args.struct2))
     theory = formats.parse_theory(_read(args.theory))
@@ -171,6 +176,9 @@ def cli_elem(args) -> int:
 
 
 def cli_closure(args) -> int:
+    from .classspec import load_class_spec
+    from .closure import cl
+
     structure = formats.parse_structure(_read(args.structure))
     subset = _parse_subset(args.subset)
     spec = load_class_spec(args.spec)
@@ -182,6 +190,9 @@ def cli_closure(args) -> int:
 
 
 def cli_verify(args) -> int:
+    from .classspec import check_class_properties, check_coherence, load_class_spec
+    from .closure import check_cl_coherence, verify_intersections
+
     spec = load_class_spec(args.spec)
     caps = args.caps
     if args.check == "intersections":
@@ -197,6 +208,12 @@ def cli_verify(args) -> int:
 
 
 def cli_emit(args) -> int:
+    import hashlib
+    import json
+
+    from .axiomatizer import emit_aq_theory
+    from .classspec import load_class_spec
+
     spec = load_class_spec(args.spec)
     caps = args.caps
     try:
@@ -225,6 +242,10 @@ def cli_emit(args) -> int:
 
 
 def cli_roundtrip(args) -> int:
+    from .axiomatizer import emit_aq_theory, verify_presentation
+    from .classspec import load_class_spec
+    from .reports import FAIL, VerificationReport
+
     spec = load_class_spec(args.spec)
     caps = args.caps
     command = f"roundtrip {os.path.basename(args.spec)}"
@@ -243,6 +264,13 @@ def cli_roundtrip(args) -> int:
 
 
 def cli_translate(args) -> int:
+    from .translate import (
+        eliminate_subvocab,
+        qstruct_to_counting,
+        scott_sentence,
+        univ_gen_rewrite,
+    )
+
     phi = formats.parse_formula(_read(args.formula))
     kappa = _parse_kappa(args.kappa)
     if args.mode == "univ-gen":
@@ -267,6 +295,11 @@ def cli_translate(args) -> int:
 
 
 def cli_dk(args) -> int:
+    import json
+
+    from .classspec import load_class_spec
+    from .closure import enumerate_DK
+
     spec = load_class_spec(args.spec)
     caps = args.caps
     reps = enumerate_DK(spec, max_tuple_len=args.tuple_len, caps=caps)
@@ -293,8 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, caps=False, kappa=False):
         p.add_argument("--timing", action="store_true", help="wall time to stderr")
         if caps:
+            # argparse runs a string default through its type, so no Caps is
+            # built, and classspec not imported, until a command needs one
             p.add_argument(
-                "--caps", type=_parse_caps, default=Caps(), metavar="SIZE", help="size cap"
+                "--caps", type=_parse_caps, default="4", metavar="SIZE", help="size cap"
             )
         if kappa:
             p.add_argument("--kappa", default="unbounded", help="positive int or 'unbounded'")
@@ -365,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dk", help="anchored-type representatives with counts")
     p.add_argument("spec")
-    p.add_argument("--tuple-len", type=int, default=2)
+    p.add_argument("--tuple-len", type=_parse_tuple_len, default=2)
     common(p, caps=True)
     p.set_defaults(fn=cli_dk)
 

@@ -11,11 +11,11 @@ class-axiom, presentation and anchored-type sweeps query.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .classspec import Caps, ModelClassSpec
 from .errors import ArityError, CapacityError, DomainError
+from .records import record
 from .reports import (
     FAIL,
     PASS,
@@ -26,7 +26,7 @@ from .reports import (
 from .structures import DecoratedStructure, FiniteStructure, decorated, normalize
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointedModel:
     """A structure with a distinguished tuple of its elements."""
 
@@ -38,7 +38,7 @@ class PointedModel:
             raise DomainError("anchor tuple leaves the universe")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClosureResult:
     structure: FiniteStructure
     is_strong: bool

@@ -8,9 +8,9 @@ included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .formats import print_formula, print_structure
+from .records import field, record
 
 SCHEMA = "structlogic-report-v1"
 
@@ -19,7 +19,7 @@ FAIL = "fail"
 NOT_FINITELY_TESTABLE = "not-finitely-testable"
 
 
-@dataclass
+@record
 class CheckResult:
     name: str
     status: str
@@ -36,7 +36,7 @@ class CheckResult:
         return self.status != FAIL
 
 
-@dataclass
+@record
 class VerificationReport:
     command: str
     caps: dict[str, int] = field(default_factory=dict)

@@ -17,13 +17,13 @@ quantifier's solution sets, and `_matches` the target match over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
 from .errors import AssignmentError, CapacityError, DomainError, SignatureError
 from .formats import print_formula
+from .records import record
 from .structures import (
     DecoratedStructure,
     FiniteStructure,
@@ -278,7 +278,7 @@ def enumerate_models(
 # fragment elementarity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ElemReport:
     """Verdict of an elementarity check; falsy reports carry a witness."""
 

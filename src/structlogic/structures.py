@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from .errors import ArityError, CapacityError, DomainError, PinError, SignatureError
+from .records import record
 from .vocab import Vocabulary
 
 # Canonical labelling is an exact search over labellings, still exponential in
@@ -164,7 +164,7 @@ class FiniteStructure:
         return f"FiniteStructure(size={self.size}, vocab={self.vocab!r})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecoratedStructure:
     """A structure with a finite list of distinguished subsets of its universe."""
 

@@ -9,10 +9,10 @@ laid out identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import ArityError, KappaError, ShapeError, SignatureError
+from .records import field, record
 from .structures import DecoratedStructure, normalize
 from .vocab import Vocabulary
 
@@ -20,30 +20,12 @@ from .vocab import Vocabulary
 # terms
 
 
-def _memo_hash(cls):
-    """Cache the generated structural hash; formula trees are hashed hot."""
-    generated = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_hash_memo")
-        except AttributeError:
-            h = generated(self)
-            object.__setattr__(self, "_hash_memo", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class App:
     fun: str
     args: tuple["Term", ...] = ()
@@ -71,28 +53,24 @@ def _term_subst(t: Term, mapping: dict[str, Term]) -> Term:
 # formulas
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atomic:
     rel: str
     terms: tuple[Term, ...]
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Equal:
     left: Term
     right: Term
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     body: "Formula"
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     items: tuple["Formula", ...]
 
@@ -101,8 +79,7 @@ class And:
             raise ShapeError("conjunction needs at least one conjunct")
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     items: tuple["Formula", ...]
 
@@ -111,22 +88,19 @@ class Or:
             raise ShapeError("disjunction needs at least one disjunct")
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exists:
     var: str
     body: "Formula"
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class Forall:
     var: str
     body: "Formula"
 
 
-@_memo_hash
-@dataclass(frozen=True)
+@record(frozen=True)
 class QStruct:
     """Structure-matching quantifier.
 
@@ -344,7 +318,7 @@ def sort_key(phi: Formula):
 # kappa thresholds
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KappaThreshold:
     """Size gate for quantifier targets and for the solution-set side condition.
 
@@ -396,7 +370,7 @@ def check_kappa(phi: Formula, kappa: KappaThreshold) -> None:
 # theories and fragments
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Theory:
     name: str
     vocabulary: Vocabulary
@@ -409,7 +383,7 @@ class Theory:
                 raise ShapeError(f"theory sentence has free variables {sorted(fv)}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fragment:
     """A finite, subformula-closed set of formulas.
 
@@ -466,7 +440,7 @@ def subformula_closure(source) -> Fragment:
 # sentence shapes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ShapeReport:
     ok: bool
     reason: str | None = None

@@ -11,9 +11,9 @@ structures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import ShapeError, SignatureError
+from .records import record
 from .structures import (
     DecoratedStructure,
     FiniteStructure,
@@ -106,7 +106,7 @@ def eliminate_subvocab(q: QStruct, tau: Vocabulary) -> Formula:
 # exact-diagram sentences
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScottSentence:
     """Exact-diagram characterization of a finite decorated structure.
 

@@ -270,6 +270,15 @@ def test_translate_no_subvocab_needs_vocab(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("length", ["-1", "1,2"])
+def test_tuple_len_takes_one_length_of_at_least_zero(length, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dk", LIN, "--tuple-len", length])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--tuple-len" in err
+
+
 def test_dk_counts_line(capsys):
     assert main(["dk", LIN, "--tuple-len", "1", "--caps", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -321,3 +330,37 @@ def test_console_script_is_installed(chain3, lt_formula):
     package_root = Path(structlogic.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(package_root)}
     _assert_shell_verdicts([sys.executable, "-c", wrapper], chain3, lt_formula, env)
+
+
+_PROBE = """
+import contextlib, io, sys
+from structlogic.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(sys.modules))
+"""
+
+
+def _modules_after(argv) -> set[str]:
+    """The modules a fresh interpreter holds after running one command."""
+    package_root = Path(structlogic.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        timeout=60,
+    )
+    code, *modules = done.stdout.split()
+    assert code == "0", done.stderr
+    return set(modules)
+
+
+def test_short_commands_load_only_the_layers_they_run(chain2, chain3, lin_theory):
+    elem = _modules_after(["elem", chain2, chain3, lin_theory, "--star"])
+    assert "structlogic.semantics" in elem
+    unused = {"axiomatizer", "translate", "closure", "classspec"}
+    assert elem & ({f"structlogic.{m}" for m in unused} | {"dataclasses", "inspect"}) == set()
+    closure = _modules_after(["closure", chain3, "1", LIN])
+    assert "structlogic.closure" in closure
+    assert closure & {"structlogic.axiomatizer", "structlogic.translate"} == set()

@@ -55,6 +55,34 @@ def test_package_modules_have_no_unused_relative_imports():
     assert offenders == {}
 
 
+def imports_dataclasses(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "dataclasses" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "dataclasses":
+                return True
+    return False
+
+
+def test_lint_flags_a_dataclasses_import():
+    assert imports_dataclasses("def f():\n    from dataclasses import dataclass\n")
+    assert imports_dataclasses("import dataclasses as dc\n")
+    assert not imports_dataclasses("from .records import record\n\n'dataclasses'\n")
+
+
+def test_package_modules_do_not_import_dataclasses():
+    """Records come from `structlogic.records`: `dataclasses` costs every command
+    its import (with `inspect`, `ast` and `dis`) and its per-class generation."""
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if imports_dataclasses(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def private_relative_imports(source: str) -> list[str]:
     """Underscore-prefixed names imported from another package module."""
     return sorted(
