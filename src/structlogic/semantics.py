@@ -7,30 +7,49 @@ sets landing exactly on the target's designated subsets.  When the main
 solution set is not closed under the target vocabulary's functions, no such
 substructure exists and the quantifier is false rather than an error.
 
-Each formula node is compiled once, on first use, into a closure
-(structure, assignment) -> bool that is kept on the node; its children's
-closures, variable orders and quantifier slots are fixed at that point.  The
-evaluation memos sit at the binders: `_binder` keeps the truth of a compiled
-Exists/Forall node per structure and parameter values, `_solution_sets` a
-quantifier's solution sets, and `_matches` the target match over them.
+Each formula is turned once, on first use, into the Python source of one
+function, which is compiled and kept on the formula node.  A quantifier-free
+subformula becomes one boolean expression over positional locals: `in` on a
+relation's row set, indexing into a function's table, `==`, `and`, `or` and
+`not`.  The tables a function reads are fetched once per call; one the
+structure lacks raises only when it is read.  An Exists/Forall whose free
+variables include every variable bound by a loop around it in the same
+function, and which holds no structure quantifier, is inlined as a loop over
+the universe: no enclosing loop of the same call repeats its parameter
+values, so a memo would not pay.  Every other Exists/Forall has a sweep of
+its own, kept on its node and memoised by `_binder` per structure and
+parameter values, so formulas sharing the node share its entries.  A
+structure quantifier reads `_solution_sets`, keyed by one sweep per equal
+slots tuple, so the disjuncts of a type disjunction share one entry, and
+`_matches`, keyed by the target in the canonical form taken when the
+formula is compiled.
+
+No formula text enters the source: variables are the locals a0, a1, ..., and
+symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
+defaults of the function's last parameters.  A symbol named `if` or `x.y` is
+therefore harmless, and formulas of one shape share one compiled code object
+(`_code`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
+from types import CodeType, FunctionType
+from weakref import WeakValueDictionary
 
 from .errors import AssignmentError, CapacityError, DomainError, SignatureError
 from .formats import print_formula
 from .records import record
 from .structures import (
+    CANONICAL_SIZE_CAP,
     DecoratedStructure,
     FiniteStructure,
     canonical_key,
     decorated,
     enumerate_hereditary,
     enumerate_structures,
+    normalize,
     reduct,
 )
 from .syntax import (
@@ -52,6 +71,7 @@ from .syntax import (
     check_kappa,
     forall_prefix,
     free_vars,
+    has_qstruct,
     is_quantifier_free,
     scopes,
 )
@@ -60,128 +80,286 @@ MAX_ELEM_FREE_VARS = 6
 
 Assignment = dict[str, int]
 
+# ---------------------------------------------------------------------------
+# code generation
+
+# precedence of a generated expression's outermost operator, loosest first
+_OR, _AND, _NOT, _TEST, _ATOM = range(5)
+# brackets one generated expression may nest before it moves into a helper
+# function; Python's parser refuses more than 200
+_MAX_NESTING = 50
+
+
+def _tuple(items) -> str:
+    items = list(items)
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+class _Source:
+    """The source of one generated function, and the constants it binds.
+
+    The function is `f(n, arg, c0, c1, ...)`, the constants c0, c1, ... bound
+    as the defaults of its last parameters; the locals a0, a1, ... hold
+    elements, and r0, f1, ... the tables of relation and function symbols.
+    """
+
+    def __init__(self, arg: str, *roots: Formula):
+        self.arg = arg
+        # no binder below a root holds a structure quantifier
+        self.plain = not any(map(has_qstruct, roots))
+        self.consts: list = []
+        self.index: dict = {}
+        self.tables: dict[tuple, str] = {}  # (symbol, arity or None) -> local
+        self.count = 0
+        self.elements = False  # whether the function reads the universe E
+        self.head: list[str] = []
+        self.helpers: list[str] = []
+
+    def const(self, value) -> str:
+        key = value if isinstance(value, str) else id(value)
+        if key not in self.index:
+            self.index[key] = f"c{len(self.consts)}"
+            self.consts.append(value)
+        return self.index[key]
+
+    def local(self) -> str:
+        self.count += 1
+        return f"a{self.count - 1}"
+
+    def params(self, variables) -> dict[str, str]:
+        """Locals for the function's parameters, read from its argument."""
+        names = {v: self.local() for v in variables}
+        if self.arg == "env":
+            self.head += [f"{a} = env[{self.const(v)}]" for v, a in names.items()]
+        elif names:
+            self.head.append(f"{', '.join(names.values())}, = values")
+        return names
+
+    def table(self, symbol: str, arity: int | None = None) -> str:
+        key = (symbol, arity)
+        if key not in self.tables:
+            self.tables[key] = f"{'r' if arity is None else 'f'}{len(self.tables)}"
+        return self.tables[key]
+
+    def helper(self, text: str, names) -> str:
+        """A call of a new helper function returning text: Python's parser
+        refuses an expression nested too deeply, so a deep one is split."""
+        self.elements = True
+        params = ", ".join(["n", "E", *self.tables.values(), *sorted(set(names.values()))])
+        name = f"h{len(self.helpers) // 2}"
+        self.helpers += [f"def {name}({params}):", f"    return {text}"]
+        return f"{name}({params})"
+
+    def term(self, t: Term, names) -> tuple[str, int]:
+        if isinstance(t, Var):
+            return names[t.name], 0
+        args = [self.term(a, names) for a in t.args]
+        text = f"{self.table(t.fun, len(t.args))}[{_tuple(a for a, _ in args)}]"
+        depth = 2 + max((d for _, d in args), default=0)
+        return (self.helper(text, names), 1) if depth > _MAX_NESTING else (text, depth)
+
+    def expr(self, phi: Formula, names, bound: frozenset) -> tuple[str, int, int]:
+        """phi as an expression: its text, precedence and bracket nesting.
+
+        names maps each variable in scope to its local; bound holds the
+        locals of the loops around phi in this function.
+        """
+        negate = False
+        while isinstance(phi, Not):
+            phi, negate = phi.body, not negate
+        text, prec, depth = self._positive(phi, names, bound)
+        if negate:
+            text, depth = self.wrap(text, prec, depth, _NOT)
+            text, prec = f"not {text}", _NOT
+        if depth > _MAX_NESTING:
+            return self.helper(text, names), _ATOM, 1
+        return text, prec, depth
+
+    @staticmethod
+    def wrap(text: str, prec: int, depth: int, least: int) -> tuple[str, int]:
+        """text in brackets when its operator binds more loosely than least."""
+        return (f"({text})", depth + 1) if prec < least else (text, depth)
+
+    def _positive(self, phi: Formula, names, bound: frozenset) -> tuple[str, int, int]:
+        if isinstance(phi, Atomic):
+            rows = [self.term(t, names) for t in phi.terms]
+            depth = 1 + max((d for _, d in rows), default=0)
+            return f"{_tuple(r for r, _ in rows)} in {self.table(phi.rel)}", _TEST, depth
+        if isinstance(phi, Equal):
+            (left, d1), (right, d2) = self.term(phi.left, names), self.term(phi.right, names)
+            return f"{left} == {right}", _TEST, max(d1, d2)
+        if isinstance(phi, (And, Or)):
+            op, prec = (" and ", _AND) if isinstance(phi, And) else (" or ", _OR)
+            items = [self.expr(item, names, bound) for item in phi.items]
+            if len(items) == 1:
+                return items[0]
+            items = [self.wrap(text, p, d, prec) for text, p, d in items]
+            return op.join(text for text, _ in items), prec, max(d for _, d in items)
+        if isinstance(phi, (Exists, Forall)):
+            free = free_vars(phi)
+            if {names[v] for v in free} >= bound and (self.plain or not has_qstruct(phi.body)):
+                local, self.elements = self.local(), True
+                body, _, depth = self.expr(phi.body, {**names, phi.var: local}, bound | {local})
+                loop = "any" if isinstance(phi, Exists) else "all"
+                return f"{loop}({body} for {local} in E)", _ATOM, depth + 1
+            values = _tuple(names[v] for v in sorted(free))
+            return f"_binder(n, {self.const(_sweep(phi))}, {values})", _ATOM, 2
+        if isinstance(phi, QStruct):
+            values = _tuple(names[v] for v in sorted(free_vars(phi)))
+            target = phi.target
+            if target.size <= CANONICAL_SIZE_CAP:
+                # past the cap, no main set of the target's size can be labelled
+                target = normalize(target)
+            checked = self.const([None])  # the last structure vocabulary admitted
+            admit = f"_admit(n, {self.const(phi.target.base.vocab)}, {checked})"
+            sets = f"_solution_sets(n, {self.const(_slot_sweep(scopes(phi)))}, {values})"
+            text = (
+                f"(n.vocab is {checked}[0] or {admit}) "
+                f"and _matches(n, {self.const(target)}, *{sets})"
+            )
+            return text, _AND, 3
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def build(self, lines: list[str]):
+        """The function with the given body, the constants its last parameters' defaults."""
+        head = list(self.head)
+        if self.elements:
+            head.append("E = n.elements")
+        if any(arity is None for _, arity in self.tables):
+            head.append("R = n._relations")
+        for (symbol, arity), local in self.tables.items():
+            c = self.const(symbol)
+            if arity is None:
+                head.append(f"{local} = R[{c}] if {c} in R else _Unreadable(n, {c})")
+            else:
+                head.append(f"{local} = _function_table(n, {c}, {arity!r})")
+        params = "".join(f", c{i}" for i in range(len(self.consts)))
+        body = "".join(f"    {line}\n" for line in [*self.helpers, *head, *lines])
+        code = _code(f"def f(n, {self.arg}{params}):\n{body}")
+        return FunctionType(code, _RUNTIME, "f", tuple(self.consts))
+
+
+@lru_cache(maxsize=4096)
+def _code(source: str) -> CodeType:
+    """The code of the one function a generated source defines, compiled once
+    per distinct text; the text names no formula symbol."""
+    return compile(source, "<generated>", "exec").co_consts[0]
+
+
+class _Unreadable:
+    """Stands in for a table the structure lacks, or has at another arity.
+
+    A function fetches its tables once per call but may never read one, so
+    the error is raised on reading, by the structure's own accessor.
+    """
+
+    __slots__ = ("n", "name")
+
+    def __init__(self, n: FiniteStructure, name: str):
+        self.n, self.name = n, name
+
+    def __contains__(self, row):
+        return row in self.n.rel(self.name)
+
+    def __getitem__(self, args):
+        return self.n.apply(self.name, args)
+
+
+def _function_table(n: FiniteStructure, name: str, arity: int):
+    """n's table of the function symbol, or a stand-in when n has none at arity."""
+    try:
+        if n.vocab.fun_arity(name) == arity:
+            return n.fun(name)
+    except SignatureError:
+        pass
+    return _Unreadable(n, name)
+
+
+def _admit(n: FiniteStructure, vocab, checked: list) -> bool:
+    """Check a quantifier's target vocabulary against n's; remember it in checked."""
+    if not vocab.is_subvocabulary_of(n.vocab):
+        raise SignatureError(
+            "quantifier target vocabulary is not a sub-vocabulary of the structure's"
+        )
+    checked[0] = n.vocab
+    return True
+
 
 def _compiled(phi: Formula):
-    """phi's closure (structure, assignment) -> bool, compiled once and kept on phi."""
+    """phi's test (structure, assignment) -> bool, generated once and kept on phi."""
     try:
         return phi._compiled
     except AttributeError:
         pass
-    test = _compile(phi)
+    src = _Source("env", phi)
+    names = src.params(sorted(free_vars(phi)))
+    test = src.build([f"return {src.expr(phi, names, frozenset())[0]}"])
     object.__setattr__(phi, "_compiled", test)
     return test
 
 
-def _row(names: tuple[str, ...]):
-    """A function from an assignment to the tuple of its values at names."""
-    if len(names) == 1:
-        (name,) = names
-        return lambda env: (env[name],)
-    return itemgetter(*names) if names else lambda env: ()
+def _sweep(phi: Exists | Forall):
+    """The node's loop (structure, values of its free variables) -> bool, kept on phi."""
+    try:
+        return phi._sweep
+    except AttributeError:
+        pass
+    src = _Source("values", phi)
+    names = src.params(sorted(free_vars(phi)))
+    local, src.elements = src.local(), True
+    exists = isinstance(phi, Exists)
+    # the loop stops at the first body value equal to exists
+    body = phi.body if exists else Not(phi.body)
+    test = src.expr(body, {**names, phi.var: local}, frozenset((local,)))[0]
+    lines = [f"for {local} in E:", f"    if {test}:", f"        return {exists}"]
+    sweep = src.build([*lines, f"return {not exists}"])
+    object.__setattr__(phi, "_sweep", sweep)
+    return sweep
 
 
-def _term(t: Term):
-    """The term's value as a closure (structure, assignment) -> element."""
-    if isinstance(t, Var):
-        name = t.name
-        return lambda n, env: env[name]
-    fun = t.fun
-    if all(isinstance(a, Var) for a in t.args):
-        row = _row(tuple(a.name for a in t.args))
-        return lambda n, env: n.apply(fun, row(env))
-    args = tuple(map(_term, t.args))
-    return lambda n, env: n.apply(fun, tuple([a(n, env) for a in args]))
+_SLOT_SWEEPS = WeakValueDictionary()
 
 
-def _compile(phi: Formula):
-    if isinstance(phi, Atomic):
-        rel = phi.rel
-        if all(isinstance(t, Var) for t in phi.terms):
-            row = _row(tuple(t.name for t in phi.terms))
-            return lambda n, env: row(env) in n.rel(rel)
-        terms = tuple(map(_term, phi.terms))
-        return lambda n, env: tuple([t(n, env) for t in terms]) in n.rel(rel)
-    if isinstance(phi, Equal):
-        left, right = _term(phi.left), _term(phi.right)
-        return lambda n, env: left(n, env) == right(n, env)
-    if isinstance(phi, Not):
-        body = _compiled(phi.body)
-        return lambda n, env: not body(n, env)
-    if isinstance(phi, (And, Or)):
-        # the first item equal to stop decides; every closure returns a bool
-        items, stop = tuple(map(_compiled, phi.items)), isinstance(phi, Or)
+def _slot_sweep(slots: tuple):
+    """The sweep (structure, parameter values) -> (main set, side sets) of the slots.
 
-        def junction(n, env):
-            for item in items:
-                if item(n, env) is stop:
-                    return stop
-            return not stop
-
-        return junction
-    if not isinstance(phi, (Exists, Forall, QStruct)):
-        raise TypeError(f"not a formula: {phi!r}")
-    names = tuple(sorted(free_vars(phi)))
-    row = _row(names)
-    if isinstance(phi, QStruct):
-        return _compile_qstruct(phi, names, row)
-    var, body, stop = phi.var, _compiled(phi.body), isinstance(phi, Exists)
-
-    def sweep(n: FiniteStructure, values: tuple) -> bool:
-        env = dict(zip(names, values))
-        for e in n.elements:
-            env[var] = e
-            if body(n, env) is stop:
-                return stop
-        return not stop
-
-    return lambda n, env: _binder(n, sweep, row(env))
-
-
-def _compile_qstruct(phi: QStruct, names: tuple[str, ...], row):
-    slots, target = scopes(phi), phi.target
-    vocab = target.base.vocab
-    checked = None  # the last structure vocabulary the target's was checked against
-
-    def match(n: FiniteStructure, env: Assignment) -> bool:
-        nonlocal checked
-        if n.vocab is not checked:
-            if not vocab.is_subvocabulary_of(n.vocab):
-                raise SignatureError(
-                    "quantifier target vocabulary is not a sub-vocabulary of the structure's"
-                )
-            checked = n.vocab
-        sets = _solution_sets(n, slots, tuple(zip(names, row(env))))
-        return _matches(n, target, sets[0], sets[1:])
-
-    return match
+    One function per equal slots tuple while any quantifier or memo entry
+    holds it, so quantifiers with equal slots share `_solution_sets` entries.
+    """
+    sweep = _SLOT_SWEEPS.get(slots)
+    if sweep is not None:
+        return sweep
+    src = _Source("values", *(body for _, body in slots))
+    names = src.params(sorted(frozenset().union(*(free_vars(b) - {x} for x, b in slots))))
+    src.elements = True
+    sets = []
+    for x, body in slots:
+        local = src.local()
+        test = src.expr(body, {**names, x: local}, frozenset((local,)))[0]
+        sets.append(f"frozenset([{local} for {local} in E if {test}])")
+    main, *sides = sets
+    sweep = _SLOT_SWEEPS[slots] = src.build([f"return {main}, {_tuple(sides)}"])
+    return sweep
 
 
 @lru_cache(maxsize=1_000_000)
 def _binder(n: FiniteStructure, sweep, values: tuple) -> bool:
-    """Truth of a compiled Exists/Forall node under its free variables' values.
+    """Truth of an Exists/Forall node under its free variables' values.
 
-    sweep is the node's compiled loop, hashed by identity.
+    sweep is the node's generated loop, hashed by identity.
     """
     return sweep(n, values)
 
 
 @lru_cache(maxsize=400_000)
-def _solution_sets(n: FiniteStructure, slots: tuple, params: tuple) -> tuple:
-    """The solution set of each (variable, body) slot under the parameters.
+def _solution_sets(n: FiniteStructure, sweep, values: tuple) -> tuple:
+    """A quantifier's main solution set and the tuple of its side solution sets.
 
-    Keyed by a quantifier's slots rather than its node, so the disjuncts of a
-    type disjunction, which differ only in their targets, share one entry.
+    sweep is `_slot_sweep` of the quantifier's slots, hashed by identity and
+    shared by equal slots, so the disjuncts of a type disjunction, which differ
+    only in their targets, share one entry.
     """
-    elems = n.elements
-    sets = []
-    for x, body in slots:
-        test, env, found = _compiled(body), dict(params), []
-        for e in elems:
-            env[x] = e
-            if test(n, env):
-                found.append(e)
-        sets.append(frozenset(found))
-    return tuple(sets)
+    return sweep(n, values)
 
 
 @lru_cache(maxsize=400_000)
@@ -190,15 +368,27 @@ def _matches(
 ) -> bool:
     """Whether main, decorated by sides, induces a copy of the target in n.
 
-    Sizes and side containment are compared before anything is built, so a
-    main set of the wrong size is rejected without being labelled.
+    The target is in canonical form, as `qstruct` builds it and the compiled
+    quantifier passes it.  Sizes and side containment are compared before
+    anything is built, so a main set of the wrong size is rejected without
+    being labelled.
     """
     if len(main) != target.size or not all(side <= main for side in sides):
         return False
     base = reduct(n, target.base.vocab)
     if not base.is_closed_subset(main):
         return False
-    return canonical_key(decorated(base.induced(main), sides)) == canonical_key(target)
+    return canonical_key(decorated(base.induced(main), sides)) == target.key
+
+
+_RUNTIME = {
+    "_admit": _admit,
+    "_binder": _binder,
+    "_function_table": _function_table,
+    "_matches": _matches,
+    "_solution_sets": _solution_sets,
+    "_Unreadable": _Unreadable,
+}
 
 
 def eval(  # noqa: A001 - interface name fixed by contract
@@ -236,7 +426,8 @@ def solution_set(
     for var in params:
         if env[var] not in n.universe:
             raise DomainError(f"assignment sends {var!r} outside the universe")
-    return _solution_sets(n, ((x, phi),), tuple(sorted((v, env[v]) for v in params)))[0]
+    values = tuple(env[v] for v in sorted(params))
+    return _solution_sets(n, _slot_sweep(((x, phi),)), values)[0]
 
 
 def models(
@@ -362,15 +553,17 @@ def elem_F_star(
     elems = n1.elements
     for chi in f.qstruct_members():
         slots = scopes(chi)
+        sweep = _slot_sweep(slots)
         for env in _assignments(elems, chi, kappa):
             # elem_F has evaluated chi here in both structures, so these are
             # the stored sets and none of them can raise
-            params = tuple(sorted(env.items()))
-            sets1 = _solution_sets(n1, slots, params)
-            if not kappa.counts_as_small(len(sets1[0])):
+            values = tuple(env.values())
+            main1, sides1 = _solution_sets(n1, sweep, values)
+            if not kappa.counts_as_small(len(main1)):
                 continue
-            sets2 = _solution_sets(n2, slots, params)
-            for i, ((x, _), set1, set2) in enumerate(zip(slots, sets1, sets2)):
+            main2, sides2 = _solution_sets(n2, sweep, values)
+            pairs = zip(slots, (main1, *sides1), (main2, *sides2))
+            for i, ((x, _), set1, set2) in enumerate(pairs):
                 if set1 != set2:
                     return ElemReport(
                         False,
