@@ -15,14 +15,15 @@ relation's row set, indexing into a function's table, `==`, `and`, `or` and
 structure lacks raises only when it is read.  An Exists/Forall whose free
 variables include every variable bound by a loop around it in the same
 function, and which holds no structure quantifier, is inlined as a loop over
-the universe: no enclosing loop of the same call repeats its parameter
-values, so a memo would not pay.  Every other Exists/Forall has a sweep of
-its own, kept on its node and memoised by `_binder` per structure and
-parameter values, so formulas sharing the node share its entries.  A
-structure quantifier reads `_solution_sets`, keyed by one sweep per equal
-slots tuple, so the disjuncts of a type disjunction share one entry, and
-`_matches`, keyed by the target in the canonical form taken when the
-formula is compiled.
+the universe with no memo.  Within one call no loop around it repeats its
+parameter values; a later call that reaches it at the same values, through
+another formula holding the node or the same formula evaluated again, runs
+the loop again.  Every other Exists/Forall has a sweep of its own, kept on
+its node and memoised by `_binder` per structure and parameter values, so
+formulas sharing the node share its entries.  A structure quantifier reads
+`_solution_sets`, keyed by one sweep per equal slots tuple, so the disjuncts
+of a type disjunction share one entry, and `_matches`, keyed by the target
+in the canonical form taken when the formula is compiled.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -103,10 +104,8 @@ class _Source:
     elements, and r0, f1, ... the tables of relation and function symbols.
     """
 
-    def __init__(self, arg: str, *roots: Formula):
+    def __init__(self, arg: str):
         self.arg = arg
-        # no binder below a root holds a structure quantifier
-        self.plain = not any(map(has_qstruct, roots))
         self.consts: list = []
         self.index: dict = {}
         self.tables: dict[tuple, str] = {}  # (symbol, arity or None) -> local
@@ -197,7 +196,7 @@ class _Source:
             return op.join(text for text, _ in items), prec, max(d for _, d in items)
         if isinstance(phi, (Exists, Forall)):
             free = free_vars(phi)
-            if {names[v] for v in free} >= bound and (self.plain or not has_qstruct(phi.body)):
+            if {names[v] for v in free} >= bound and not has_qstruct(phi.body):
                 local, self.elements = self.local(), True
                 body, _, depth = self.expr(phi.body, {**names, phi.var: local}, bound | {local})
                 loop = "any" if isinstance(phi, Exists) else "all"
@@ -291,7 +290,7 @@ def _compiled(phi: Formula):
         return phi._compiled
     except AttributeError:
         pass
-    src = _Source("env", phi)
+    src = _Source("env")
     names = src.params(sorted(free_vars(phi)))
     test = src.build([f"return {src.expr(phi, names, frozenset())[0]}"])
     object.__setattr__(phi, "_compiled", test)
@@ -304,7 +303,7 @@ def _sweep(phi: Exists | Forall):
         return phi._sweep
     except AttributeError:
         pass
-    src = _Source("values", phi)
+    src = _Source("values")
     names = src.params(sorted(free_vars(phi)))
     local, src.elements = src.local(), True
     exists = isinstance(phi, Exists)
@@ -329,7 +328,7 @@ def _slot_sweep(slots: tuple):
     sweep = _SLOT_SWEEPS.get(slots)
     if sweep is not None:
         return sweep
-    src = _Source("values", *(body for _, body in slots))
+    src = _Source("values")
     names = src.params(sorted(frozenset().union(*(free_vars(b) - {x} for x, b in slots))))
     src.elements = True
     sets = []
@@ -368,8 +367,9 @@ def _matches(
 ) -> bool:
     """Whether main, decorated by sides, induces a copy of the target in n.
 
-    The target is in canonical form, as `qstruct` builds it and the compiled
-    quantifier passes it.  Sizes and side containment are compared before
+    The target must be in canonical form, as the compiled quantifier passes
+    it: only its key is compared, so a target in any other form gives False
+    whatever the sets.  Sizes and side containment are compared before
     anything is built, so a main set of the wrong size is rejected without
     being labelled.
     """

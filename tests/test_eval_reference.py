@@ -3,18 +3,22 @@
 `semantics.eval` turns each formula into the Python source of one function.
 Two earlier evaluators are kept below as references.  The recursive
 interpreter, `reference_eval`, dispatches on the node type on every call,
-keeps Exists/Forall truth values per structurally equal node and builds
-solution sets in its own `reference_solution_sets`.  The closure compiler,
-`closure_eval`, compiles each node once into a closure that calls its
-children's closures, keeps Exists/Forall truth values per compiled node and
-solution sets per quantifier slots, and compares canonical keys of the
-target and the part in its own `_closure_matches`.
+keeps Exists/Forall truth values per structurally equal node, builds
+solution sets in its own `reference_solution_sets` and compares canonical
+keys of the target and the part in its own `reference_matches`.  The
+closure compiler, `closure_eval`, compiles each node once into a closure
+that calls its children's closures, keeps Exists/Forall truth values per
+compiled node and solution sets per quantifier slots, and compares
+canonical keys of the target and the part in its own `_closure_matches`.
+Neither reads a memo of `semantics`, nor relies on its targets being in
+canonical form.
 
 Random formulas over Atomic, Equal with unary-function terms, Not, And, Or,
 Exists, Forall and QStruct nodes with side formulas are evaluated on random
 structures of sizes 0-5, under every assignment of their free variables, and
 random structure quantifiers of the eval-sweep shape, with their counting
-translations, on structures of sizes 0-6.  The verdict must be both
+translations, on structures of sizes 0-6, and random structure quantifiers
+built on a target that is not in canonical form.  The verdict must be both
 references' and `oracles.oracle_eval`'s, and so must the error raised, if
 any.  The tests after them pin what the generator must get right beyond
 random input: errors raised only when a table is read and with the
@@ -36,9 +40,9 @@ from oracles import oracle_eval
 from structlogic.cli import main
 from structlogic.errors import DomainError, SignatureError
 from structlogic.formats import print_structure, print_theory
-from structlogic.semantics import _matches, elem_F, solution_set
+from structlogic.semantics import elem_F, solution_set
 from structlogic.semantics import eval as ev
-from structlogic.structures import FiniteStructure, canonical_key, decorated, reduct
+from structlogic.structures import FiniteStructure, canonical_key, decorated, reduct, relabel
 from structlogic.syntax import (
     And,
     App,
@@ -90,7 +94,7 @@ def reference_eval(n, phi, env):
             "quantifier target vocabulary is not a sub-vocabulary of the structure's"
         )
     sets = reference_solution_sets(n, scopes(phi), params)
-    return _matches(n, phi.target, sets[0], sets[1:])
+    return reference_matches(n, phi.target, sets[0], sets[1:])
 
 
 @lru_cache(maxsize=100_000)
@@ -107,6 +111,17 @@ def reference_solution_sets(n, slots, params):
         frozenset(e for e in sorted(n.universe) if reference_eval(n, body, {**env, x: e}))
         for x, body in slots
     )
+
+
+@lru_cache(maxsize=100_000)
+def reference_matches(n, target, main, sides):
+    """Whether main, decorated by sides, is an induced copy of the target."""
+    if len(main) != target.size or not all(side <= main for side in sides):
+        return False
+    base = reduct(n, target.base.vocab)
+    if not base.is_closed_subset(main):
+        return False
+    return canonical_key(decorated(base.induced(main), sides)) == canonical_key(target)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +404,22 @@ def test_side_formula_reads_the_parameter_value_of_the_main_variable(n, target, 
     # quantifier's parameter, not the last element the main sweep tried
     psi = And((Atomic("R", (Var("y"), Var("x"))), Atomic("P", (t,)), psi))
     q = _quantifier(target, "x", "y", phi, psi, True)
+    for env in assignments(n, sorted(free_vars(q))):
+        want = outcome(reference_eval, n, q, env)
+        assert outcome(closure_eval, n, q, env) == want, (q, env)
+        assert outcome(ev, n, q, env) == want, (q, env)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures(), targets(), formulas, formulas)
+def test_target_in_no_canonical_form_is_matched_up_to_isomorphism(n, target, phi, psi):
+    # `qstruct` puts its target in canonical form; a node built directly on
+    # the ids 9, 8, ... must still match every isomorphic copy
+    base, side = target
+    ids = {e: 9 - e for e in base.universe}
+    moved = decorated(relabel(base, ids), ({ids[e] for e in side},))
+    assert moved.key != canonical_key(moved)
+    q = QStruct(moved, "x", ("y",), phi, (psi,))
     for env in assignments(n, sorted(free_vars(q))):
         want = outcome(reference_eval, n, q, env)
         assert outcome(closure_eval, n, q, env) == want, (q, env)
