@@ -87,7 +87,6 @@ class ExpansionMap:
     """Members enriched with closure relations; reduct is the identity."""
 
     spec: ModelClassSpec
-    arity_cap: int
     vocab: Vocabulary
     caps: Caps = Caps()
 
@@ -99,7 +98,7 @@ class ExpansionMap:
         rels = {name: n.rel(name) for name in n.vocab.relation_names()}
         funs = {name: n.fun(name) for name in n.vocab.function_names()}
         elems = sorted(n.universe)
-        for k in range(self.arity_cap + 1):
+        for k in range(self.caps.size + 1):
             rels[closure_relation_name(k)] = {
                 (a, *tup)
                 for tup in itertools.product(elems, repeat=k)
@@ -111,17 +110,14 @@ class ExpansionMap:
         return reduct(n_plus, self.spec.vocabulary)
 
 
-def functorial_expansion(
-    spec: ModelClassSpec, arity_cap: int | None = None, caps: Caps = Caps()
-) -> ExpansionMap:
+def functorial_expansion(spec: ModelClassSpec, caps: Caps = Caps()) -> ExpansionMap:
     """Closure-relation expansion over a class verified to have intersections.
 
-    Refuses classes without intersections at the working caps, and checks
-    that the class order matches expanded-substructure on the finite slice.
+    One closure relation per tuple length up to the size cap.  Refuses
+    classes without intersections at the working caps, and checks that the
+    class order matches expanded-substructure on the finite slice.
     """
-    if arity_cap is None:
-        arity_cap = caps.size
-    vocab_plus = expanded_vocabulary(spec.vocabulary, arity_cap)
+    vocab_plus = expanded_vocabulary(spec.vocabulary, caps.size)
     report = verify_intersections(spec, caps)
     if not report.ok:
         witness = report.checks[0].witnesses[0] if report.checks[0].witnesses else None
@@ -129,7 +125,7 @@ def functorial_expansion(
             f"class {spec.name!r} lacks intersections at size cap {caps.size}",
             witness=witness,
         )
-    emap = ExpansionMap(spec, arity_cap, vocab_plus, caps)
+    emap = ExpansionMap(spec, vocab_plus, caps)
     sl = class_slice(spec, caps)
     for n in sl.members:
         n_plus = emap.expand(n)
@@ -247,7 +243,7 @@ def emit_aq_theory(spec: ModelClassSpec, caps: Caps = Caps()) -> tuple[Theory, P
         vocab = expanded_vocabulary(spec.vocabulary, caps.size)
         theory = Theory(f"{spec.name}-presentation", vocab, (s1, s2))
         return theory, PairCatalog(())
-    emap = functorial_expansion(spec, caps.size, caps)
+    emap = functorial_expansion(spec, caps)
     dk = enumerate_DK(spec, max_tuple_len=caps.size, caps=caps)
     sentences: list[Formula] = []
     for n in range(1, caps.size + 1):
@@ -281,7 +277,8 @@ def verify_presentation(
     spec: ModelClassSpec,
     emitted: Theory,
     caps: Caps = Caps(),
-    catalog: PairCatalog | None = None,
+    *,
+    catalog: PairCatalog,
 ) -> VerificationReport:
     """Four checks that the emitted theory presents the expanded class.
 
@@ -326,9 +323,7 @@ def verify_presentation(
         report.add("order-reflected", PASS, {"pairs": 0}, note="empty class")
         return report
 
-    emap = functorial_expansion(spec, caps.size, caps)
-    if catalog is None:
-        _, catalog = emit_aq_theory(spec, caps)
+    emap = functorial_expansion(spec, caps)
 
     bad1 = []
     for n in members:

@@ -307,6 +307,8 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
         if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
             raise ParseError(f"bad class entry: {sexpr.write(entry)}")
         kind = entry[0]
+        if kind in ("name", "max-size") and len(entry) != 2:
+            raise ParseError(f"expected ({kind} value): {sexpr.write(entry)}")
         if kind == "name":
             name = str(entry[1])
         elif kind == "theory":
@@ -320,10 +322,10 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
             kappa = (
                 UNBOUNDED
                 if entry[1] == "unbounded"
-                else KappaThreshold.finite(int(entry[1]))
+                else KappaThreshold.finite(_int(entry[1], "kappa"))
             )
         elif kind == "max-size":
-            max_size = int(entry[1])
+            max_size = _int(entry[1], "max-size")
         elif kind == "hereditary":
             hereditary = True
         elif kind == "members":
@@ -337,7 +339,7 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
             for pair in entry[1:]:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ParseError(f"expected (i j) in order table: {sexpr.write(pair)}")
-                order.add((int(pair[0]), int(pair[1])))
+                order.add((_int(pair[0], "order index"), _int(pair[1], "order index")))
         else:
             raise ParseError(f"unknown class entry {kind!r}")
     if theory is not None and reps is not None:
@@ -353,6 +355,12 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
     if reps is not None:
         return ExplicitClass(name, tuple(reps), frozenset(order))
     raise ParseError("class has neither a (theory ...) nor a (members ...) entry")
+
+
+def _int(node, what: str) -> int:
+    if not isinstance(node, int):
+        raise ParseError(f"expected an integer for {what}, found {sexpr.write(node)}")
+    return node
 
 
 def parse_class_spec(text: str, base_dir: str = ".", name_hint: str = "class"):

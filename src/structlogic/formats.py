@@ -133,12 +133,16 @@ def structure_from_node(node) -> FiniteStructure:
             else:
                 size = _expect_int(entry[1], "universe size")
         elif kind == "rel":
+            if len(entry) < 2:
+                raise _fail(f"expected (rel name row ...): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "relation name")
             rows = relations.setdefault(name, set())
             for row in entry[2:]:
                 row = _expect_list(row, "relation tuple")
                 rows.add(tuple(_expect_int(x, "element") for x in row))
         elif kind == "fun":
+            if len(entry) < 2:
+                raise _fail(f"expected (fun name row ...): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "function name")
             table = functions.setdefault(name, {})
             for row in entry[2:]:
@@ -338,6 +342,8 @@ def theory_from_node(node) -> Theory:
         entry = _expect_list(entry, "theory entry")
         kind = _head(entry)
         if kind == "name":
+            if len(entry) != 2:
+                raise _fail(f"expected (name n): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "theory name")
         elif kind == "vocab":
             vocab = vocab_from_node(entry)

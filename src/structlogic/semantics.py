@@ -8,22 +8,23 @@ solution set is not closed under the target vocabulary's functions, no such
 substructure exists and the quantifier is false rather than an error.
 
 Each formula is turned once, on first use, into the Python source of one
-function, which is compiled and kept on the formula node.  A quantifier-free
-subformula becomes one boolean expression over positional locals: `in` on a
-relation's row set, indexing into a function's table, `==`, `and`, `or` and
-`not`.  The tables a function reads are fetched once per call; one the
-structure lacks raises only when it is read.  An Exists/Forall whose free
-variables include every variable bound by a loop around it in the same
-function, and which holds no structure quantifier, is inlined as a loop over
-the universe with no memo.  Within one call no loop around it repeats its
-parameter values; a later call that reaches it at the same values, through
-another formula holding the node or the same formula evaluated again, runs
-the loop again.  Every other Exists/Forall has a sweep of its own, kept on
-its node and memoised by `_binder` per structure and parameter values, so
-formulas sharing the node share its entries.  A structure quantifier reads
-`_solution_sets`, keyed by one sweep per equal slots tuple, so the disjuncts
-of a type disjunction share one entry, and `_matches`, keyed by the target
-in the canonical form taken when the formula is compiled.
+function f(n, values), which is compiled and kept on the formula node;
+values are its free variables' values in the sorted order of their names,
+which the function keeps as its `variables`.  A quantifier-free subformula
+becomes one boolean expression over positional locals: `in` on a relation's
+row set, indexing into a function's table, `==`, `and`, `or` and `not`.  The
+tables a function reads are fetched once per call; one the structure lacks
+raises only when it is read.  An Exists/Forall whose free variables include
+every variable bound by a loop around it in the same function, and which
+holds no structure quantifier, is inlined as a loop over the universe with
+no memo: within one call no loop around it repeats its parameter values.
+Every other Exists/Forall, and every structure quantifier, keeps a sweep of
+the same signature on its node, memoised by `_swept` per structure and
+parameter values, so formulas sharing the node share its entries.  A
+structure quantifier's sweep gives its main and side solution sets, one
+sweep per equal slots tuple, so the disjuncts of a type disjunction share
+one entry; `_matches` compares them with the target in the canonical form
+taken when the formula is compiled.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -99,13 +100,13 @@ def _tuple(items) -> str:
 class _Source:
     """The source of one generated function, and the constants it binds.
 
-    The function is `f(n, arg, c0, c1, ...)`, the constants c0, c1, ... bound
-    as the defaults of its last parameters; the locals a0, a1, ... hold
+    The function is `f(n, values, c0, c1, ...)`, the constants c0, c1, ...
+    bound as the defaults of its last parameters; the locals a0, a1, ... hold
     elements, and r0, f1, ... the tables of relation and function symbols.
+    Its attribute `variables` names the parameters that values gives, sorted.
     """
 
-    def __init__(self, arg: str):
-        self.arg = arg
+    def __init__(self):
         self.consts: list = []
         self.index: dict = {}
         self.tables: dict[tuple, str] = {}  # (symbol, arity or None) -> local
@@ -126,11 +127,10 @@ class _Source:
         return f"a{self.count - 1}"
 
     def params(self, variables) -> dict[str, str]:
-        """Locals for the function's parameters, read from its argument."""
+        """Locals for the function's parameters, unpacked from values."""
+        self.variables = tuple(variables)
         names = {v: self.local() for v in variables}
-        if self.arg == "env":
-            self.head += [f"{a} = env[{self.const(v)}]" for v, a in names.items()]
-        elif names:
+        if names:
             self.head.append(f"{', '.join(names.values())}, = values")
         return names
 
@@ -202,7 +202,7 @@ class _Source:
                 loop = "any" if isinstance(phi, Exists) else "all"
                 return f"{loop}({body} for {local} in E)", _ATOM, depth + 1
             values = _tuple(names[v] for v in sorted(free))
-            return f"_binder(n, {self.const(_sweep(phi))}, {values})", _ATOM, 2
+            return f"_swept(n, {self.const(_sweep(phi))}, {values})", _ATOM, 2
         if isinstance(phi, QStruct):
             values = _tuple(names[v] for v in sorted(free_vars(phi)))
             target = phi.target
@@ -211,7 +211,7 @@ class _Source:
                 target = normalize(target)
             checked = self.const([None])  # the last structure vocabulary admitted
             admit = f"_admit(n, {self.const(phi.target.base.vocab)}, {checked})"
-            sets = f"_solution_sets(n, {self.const(_slot_sweep(scopes(phi)))}, {values})"
+            sets = f"_swept(n, {self.const(_sweep(phi))}, {values})"
             text = (
                 f"(n.vocab is {checked}[0] or {admit}) "
                 f"and _matches(n, {self.const(target)}, *{sets})"
@@ -234,8 +234,10 @@ class _Source:
                 head.append(f"{local} = _function_table(n, {c}, {arity!r})")
         params = "".join(f", c{i}" for i in range(len(self.consts)))
         body = "".join(f"    {line}\n" for line in [*self.helpers, *head, *lines])
-        code = _code(f"def f(n, {self.arg}{params}):\n{body}")
-        return FunctionType(code, _RUNTIME, "f", tuple(self.consts))
+        code = _code(f"def f(n, values{params}):\n{body}")
+        fn = FunctionType(code, _RUNTIME, "f", tuple(self.consts))
+        fn.variables = self.variables
+        return fn
 
 
 @lru_cache(maxsize=4096)
@@ -285,33 +287,37 @@ def _admit(n: FiniteStructure, vocab, checked: list) -> bool:
 
 
 def _compiled(phi: Formula):
-    """phi's test (structure, assignment) -> bool, generated once and kept on phi."""
+    """phi's test (structure, values of its free variables) -> bool, kept on phi."""
     try:
         return phi._compiled
     except AttributeError:
         pass
-    src = _Source("env")
+    src = _Source()
     names = src.params(sorted(free_vars(phi)))
     test = src.build([f"return {src.expr(phi, names, frozenset())[0]}"])
     object.__setattr__(phi, "_compiled", test)
     return test
 
 
-def _sweep(phi: Exists | Forall):
-    """The node's loop (structure, values of its free variables) -> bool, kept on phi."""
+def _sweep(phi: Exists | Forall | QStruct):
+    """The node's sweep (structure, values of its free variables), kept on phi:
+    an Exists/Forall's loop, or a structure quantifier's `_slot_sweep`."""
     try:
         return phi._sweep
     except AttributeError:
         pass
-    src = _Source("values")
-    names = src.params(sorted(free_vars(phi)))
-    local, src.elements = src.local(), True
-    exists = isinstance(phi, Exists)
-    # the loop stops at the first body value equal to exists
-    body = phi.body if exists else Not(phi.body)
-    test = src.expr(body, {**names, phi.var: local}, frozenset((local,)))[0]
-    lines = [f"for {local} in E:", f"    if {test}:", f"        return {exists}"]
-    sweep = src.build([*lines, f"return {not exists}"])
+    if isinstance(phi, QStruct):
+        sweep = _slot_sweep(scopes(phi))
+    else:
+        src = _Source()
+        names = src.params(sorted(free_vars(phi)))
+        local, src.elements = src.local(), True
+        exists = isinstance(phi, Exists)
+        # the loop stops at the first body value equal to exists
+        body = phi.body if exists else Not(phi.body)
+        test = src.expr(body, {**names, phi.var: local}, frozenset((local,)))[0]
+        lines = [f"for {local} in E:", f"    if {test}:", f"        return {exists}"]
+        sweep = src.build([*lines, f"return {not exists}"])
     object.__setattr__(phi, "_sweep", sweep)
     return sweep
 
@@ -323,12 +329,12 @@ def _slot_sweep(slots: tuple):
     """The sweep (structure, parameter values) -> (main set, side sets) of the slots.
 
     One function per equal slots tuple while any quantifier or memo entry
-    holds it, so quantifiers with equal slots share `_solution_sets` entries.
+    holds it, so quantifiers with equal slots share `_swept` entries.
     """
     sweep = _SLOT_SWEEPS.get(slots)
     if sweep is not None:
         return sweep
-    src = _Source("values")
+    src = _Source()
     names = src.params(sorted(frozenset().union(*(free_vars(b) - {x} for x, b in slots))))
     src.elements = True
     sets = []
@@ -342,22 +348,9 @@ def _slot_sweep(slots: tuple):
 
 
 @lru_cache(maxsize=1_000_000)
-def _binder(n: FiniteStructure, sweep, values: tuple) -> bool:
-    """Truth of an Exists/Forall node under its free variables' values.
-
-    sweep is the node's generated loop, hashed by identity.
-    """
-    return sweep(n, values)
-
-
-@lru_cache(maxsize=400_000)
-def _solution_sets(n: FiniteStructure, sweep, values: tuple) -> tuple:
-    """A quantifier's main solution set and the tuple of its side solution sets.
-
-    sweep is `_slot_sweep` of the quantifier's slots, hashed by identity and
-    shared by equal slots, so the disjuncts of a type disjunction, which differ
-    only in their targets, share one entry.
-    """
+def _swept(n: FiniteStructure, sweep, values: tuple):
+    """The sweep, hashed by identity, in n at its parameter values: an
+    Exists/Forall node's truth value, or a quantifier's main and side sets."""
     return sweep(n, values)
 
 
@@ -383,12 +376,27 @@ def _matches(
 
 _RUNTIME = {
     "_admit": _admit,
-    "_binder": _binder,
     "_function_table": _function_table,
     "_matches": _matches,
-    "_solution_sets": _solution_sets,
+    "_swept": _swept,
     "_Unreadable": _Unreadable,
 }
+
+
+def _values(n: FiniteStructure, phi: Formula, variables: tuple, a, kappa: KappaThreshold):
+    """The values the assignment gives the variables, checked in turn: every
+    variable assigned, inside n's universe, then phi's targets within kappa."""
+    env = dict(a or {})
+    try:
+        values = tuple([env[var] for var in variables])
+    except KeyError:
+        missing = [var for var in variables if var not in env]
+        raise AssignmentError(f"unassigned free variables: {missing}") from None
+    if not n.universe.issuperset(values):
+        var = next(var for var, value in zip(variables, values) if value not in n.universe)
+        raise DomainError(f"assignment sends {var!r} outside the universe")
+    check_kappa(phi, kappa)
+    return values
 
 
 def eval(  # noqa: A001 - interface name fixed by contract
@@ -398,15 +406,8 @@ def eval(  # noqa: A001 - interface name fixed by contract
     kappa: KappaThreshold = UNBOUNDED,
 ) -> bool:
     """Truth of phi in n under the assignment, gated by the size threshold."""
-    env = dict(a or {})
-    missing = free_vars(phi) - env.keys()
-    if missing:
-        raise AssignmentError(f"unassigned free variables: {sorted(missing)}")
-    for var in free_vars(phi):
-        if env[var] not in n.universe:
-            raise DomainError(f"assignment sends {var!r} outside the universe")
-    check_kappa(phi, kappa)
-    return _compiled(phi)(n, env)
+    test = _compiled(phi)
+    return test(n, _values(n, phi, test.variables, a, kappa))
 
 
 def solution_set(
@@ -417,17 +418,8 @@ def solution_set(
     kappa: KappaThreshold = UNBOUNDED,
 ) -> frozenset[int]:
     """The set of elements e with phi true at x := e under the assignment."""
-    env = dict(a or {})
-    params = free_vars(phi) - {x}
-    missing = params - env.keys()
-    if missing:
-        raise AssignmentError(f"unassigned free variables: {sorted(missing)}")
-    check_kappa(phi, kappa)
-    for var in params:
-        if env[var] not in n.universe:
-            raise DomainError(f"assignment sends {var!r} outside the universe")
-    values = tuple(env[v] for v in sorted(params))
-    return _solution_sets(n, _slot_sweep(((x, phi),)), values)[0]
+    sweep = _slot_sweep(((x, phi),))
+    return _swept(n, sweep, _values(n, phi, sweep.variables, a, kappa))[0]
 
 
 def models(
@@ -486,14 +478,12 @@ class ElemReport:
 _OK = ElemReport(True, "ok")
 
 
-def _assignments(elems: tuple[int, ...], phi: Formula, kappa: KappaThreshold):
-    """Every assignment of phi's free variables into elems, sorted.
+def _assignments(elems: tuple[int, ...], phi: Formula, variables: tuple, kappa: KappaThreshold):
+    """Every tuple of values in elems for phi's free variables, sorted.
 
-    phi is checked once, before its first assignment: its free variables
-    against the sweep cap, and its targets against kappa when there is at
-    least one assignment.
+    phi is checked first: its free variables against the sweep cap, and its
+    targets against kappa when there is at least one assignment.
     """
-    variables = sorted(free_vars(phi))
     if len(variables) > MAX_ELEM_FREE_VARS:
         raise CapacityError(
             f"{len(variables)} free variables exceed the exhaustive-sweep cap "
@@ -503,8 +493,7 @@ def _assignments(elems: tuple[int, ...], phi: Formula, kappa: KappaThreshold):
         )
     if elems or not variables:
         check_kappa(phi, kappa)
-    for values in product(elems, repeat=len(variables)):
-        yield dict(zip(variables, values))
+    return product(elems, repeat=len(variables))
 
 
 def elem_F(
@@ -523,14 +512,10 @@ def elem_F(
     elems = n1.elements
     for phi in f:
         test = _compiled(phi)
-        for env in _assignments(elems, phi, kappa):
-            if test(n1, env) != test(n2, env):
-                return ElemReport(
-                    False,
-                    "truth-disagreement",
-                    phi,
-                    tuple(sorted(env.items())),
-                )
+        variables = test.variables
+        for values in _assignments(elems, phi, variables, kappa):
+            if test(n1, values) != test(n2, values):
+                return ElemReport(False, "truth-disagreement", phi, tuple(zip(variables, values)))
     return _OK
 
 
@@ -552,24 +537,19 @@ def elem_F_star(
         return base
     elems = n1.elements
     for chi in f.qstruct_members():
-        slots = scopes(chi)
-        sweep = _slot_sweep(slots)
-        for env in _assignments(elems, chi, kappa):
-            # elem_F has evaluated chi here in both structures, so these are
-            # the stored sets and none of them can raise
-            values = tuple(env.values())
-            main1, sides1 = _solution_sets(n1, sweep, values)
+        # elem_F has checked chi and evaluated it here in both structures, so
+        # these are the stored sets and none of them can raise
+        sweep = _sweep(chi)
+        variables = sweep.variables
+        for values in product(elems, repeat=len(variables)):
+            main1, sides1 = _swept(n1, sweep, values)
             if not kappa.counts_as_small(len(main1)):
                 continue
-            main2, sides2 = _solution_sets(n2, sweep, values)
-            pairs = zip(slots, (main1, *sides1), (main2, *sides2))
-            for i, ((x, _), set1, set2) in enumerate(pairs):
+            main2, sides2 = _swept(n2, sweep, values)
+            pairs = zip((None, *chi.yvars), (main1, *sides1), (main2, *sides2))
+            for y, set1, set2 in pairs:
                 if set1 != set2:
-                    return ElemReport(
-                        False,
-                        "solution-set-change",
-                        chi,
-                        tuple(sorted(env.items())),
-                        detail=f"side solution set for {x!r}" if i else "main solution set",
-                    )
+                    where = tuple(zip(variables, values))
+                    detail = "main solution set" if y is None else f"side solution set for {y!r}"
+                    return ElemReport(False, "solution-set-change", chi, where, detail=detail)
     return _OK

@@ -51,7 +51,7 @@ def test_expanded_vocabulary_name_collision():
 
 
 def test_functorial_expansion_tracks_closures():
-    emap = functorial_expansion(lin(), arity_cap=1, caps=CAPS3)
+    emap = functorial_expansion(lin(), caps=CAPS3)
     c3_plus = emap.expand(chain(3))
     # membership in the closure of a point: everything at or below it
     assert c3_plus.rel("cl1") == frozenset(
@@ -63,7 +63,7 @@ def test_functorial_expansion_tracks_closures():
 
 
 def test_functorial_expansion_preserves_order():
-    emap = functorial_expansion(lin(), arity_cap=2, caps=CAPS3)
+    emap = functorial_expansion(lin(), caps=CAPS3)
     c3 = chain(3)
     seg = c3.induced({0, 1})
     assert emap.expand(seg).is_substructure_of(emap.expand(c3))
@@ -71,7 +71,7 @@ def test_functorial_expansion_preserves_order():
 
 def test_expansion_embedding_does_not_imply_strong():
     # the {1,2} suborder embeds expansion-wise yet is not an initial segment
-    emap = functorial_expansion(lin(), arity_cap=1, caps=CAPS3)
+    emap = functorial_expansion(lin(), caps=CAPS3)
     c3 = chain(3)
     sub = c3.induced({1, 2})
     assert emap.expand(sub).is_substructure_of(emap.expand(c3))
@@ -80,7 +80,7 @@ def test_expansion_embedding_does_not_imply_strong():
 
 def test_functorial_expansion_refuses_broken_spec():
     with pytest.raises(IntersectionFailure):
-        functorial_expansion(BUILDERS["broken-intersections"](), arity_cap=1, caps=Caps(size=4))
+        functorial_expansion(BUILDERS["broken-intersections"](), caps=Caps(size=4))
 
 
 def test_emit_linear_orders_shape():
@@ -105,7 +105,7 @@ def test_pair_catalog_shapes():
 
 
 def test_catalog_witness_generates_the_anchor_closure():
-    emap = functorial_expansion(lin(), arity_cap=3, caps=CAPS3)
+    emap = functorial_expansion(lin(), caps=CAPS3)
     _, catalog = emit_aq_theory(lin(), caps=CAPS3)
     for m, k in ((1, 1), (2, 1)):
         for entry in catalog.get(m, k):

@@ -244,6 +244,29 @@ def test_caps_takes_one_size_of_at_least_zero(caps, capsys):
     assert err.startswith("usage:") and "--caps" in err
 
 
+THEORY = "(theory (name t) (vocab (rel lt 2)))"
+MALFORMED = {
+    "structure-rel": ("eval", "(structure (vocab (rel lt 2)) (universe 2) (rel))"),
+    "structure-fun": ("eval", "(structure (vocab (fun f 1)) (universe 1) (fun))"),
+    "theory-name": ("models", "(theory (name) (vocab (rel lt 2)))"),
+    "class-name": ("dk", f"(class (name) {THEORY})"),
+    "class-max-size": ("dk", f"(class {THEORY} (max-size))"),
+    "class-max-size-word": ("dk", f"(class {THEORY} (max-size six))"),
+    "class-kappa-word": ("dk", f"(class {THEORY} (kappa big))"),
+    "class-order-word": ("dk", "(class (members (structure (vocab) (universe 1))) (order (a 0)))"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED))
+def test_malformed_input_file_is_an_input_error(form, tmp_path, lt_formula, capsys):
+    command, text = MALFORMED[form]
+    path = _write(tmp_path, "bad.sexp", text)
+    args = {"eval": [path, lt_formula], "models": [path], "dk": [path, "--caps", "1"]}[command]
+    assert main([command, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_translate_univ_gen(tmp_path, capsys):
     phi = _write(tmp_path, "irr.sexp", "(forall x (not (rel lt x x)))")
     assert main(["translate", phi, "--mode", "univ-gen"]) == 0

@@ -2,8 +2,11 @@
 
 The reference checks every assignment through the public eval and
 solution_set, so it re-runs the free-variable, domain and kappa checks each
-time; the engine checks each fragment member once.  Reports, or the error
-raised, must be the same.
+time; the engine checks each fragment member once and walks tuples of
+values.  Reports, witness included, or the error raised, must be the same:
+on the corpus classes' slices, and on random structures of sizes 0-5 with a
+part generated by random points, over random closed and non-closed fragments
+whose structure quantifiers have 0-2 side sets and 2-3 free variables.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structlogic.classspec import Caps
 from structlogic.closure import class_slice
 from structlogic.corpus import BUILDERS, chain
-from structlogic.errors import CapacityError, KappaError
+from structlogic.errors import AssignmentError, CapacityError, DomainError, KappaError
 from structlogic.formats import print_formula
 from structlogic.semantics import (
     MAX_ELEM_FREE_VARS,
@@ -26,10 +31,13 @@ from structlogic.semantics import (
     solution_set,
 )
 from structlogic.semantics import eval as ev
-from structlogic.structures import FiniteStructure, decorated
+from structlogic.structures import FiniteStructure, decorated, generated_substructure
 from structlogic.syntax import (
     UNBOUNDED,
+    And,
     Atomic,
+    Equal,
+    Fragment,
     KappaThreshold,
     QStruct,
     Var,
@@ -39,6 +47,7 @@ from structlogic.syntax import (
     scopes,
     subformula_closure,
 )
+from test_eval_reference import TARGET_VOCABS, VARS, formulas, structures
 
 GOOD_CLASSES = ("linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks")
 THRESHOLDS = (UNBOUNDED, KappaThreshold.finite(2), KappaThreshold.finite(3), KappaThreshold.finite(7))
@@ -173,3 +182,52 @@ def test_side_set_change_matches_the_reference():
         (("z", 0),),
         "side solution set for 'y'",
     )
+
+
+@st.composite
+def quantifiers(draw):
+    """A structure quantifier over x, y, z with 0-2 side sets and 2-3 free variables."""
+    k = draw(st.integers(0, 2))
+    base = draw(structures(draw(st.sampled_from(TARGET_VOCABS)), sizes=(1, 3), low=(0,)))
+    sides = [draw(st.sets(st.sampled_from(sorted(base.universe)))) for _ in range(k)]
+    # y = y and z = z keep y and z free in the main formula, whose bound
+    # variable is x, and change no solution set
+    same = [Equal(Var(v), Var(v)) for v in ("y", "z")]
+    phi = And((draw(formulas), *same))
+    yvars = draw(st.lists(st.sampled_from(VARS), min_size=k, max_size=k))
+    psis = draw(st.lists(formulas, min_size=k, max_size=k))
+    return qstruct(decorated(base, sides), "x", yvars, phi, psis)
+
+
+@st.composite
+def fragments(draw):
+    members = draw(st.lists(quantifiers(), min_size=1, max_size=2))
+    members += draw(st.lists(formulas, max_size=2))
+    if draw(st.booleans()):
+        return subformula_closure(members)
+    return Fragment(frozenset(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures(), st.data(), fragments(), st.sampled_from(THRESHOLDS))
+def test_elem_checks_match_the_reference_on_random_fragments(n, data, frag, kappa):
+    # a part generated by at most two points, so that it is often proper
+    elems = sorted(n.universe)
+    seed = data.draw(st.sets(st.sampled_from(elems), max_size=2) if elems else st.just(set()))
+    m = generated_substructure(n, seed)
+    for check, reference in ((elem_F, reference_elem_F), (elem_F_star, reference_elem_F_star)):
+        got = _outcome(check, m, n, frag, kappa)
+        assert got == _outcome(reference, m, n, frag, kappa), (check.__name__, m, n, kappa)
+
+
+def test_eval_and_solution_set_check_assignment_then_domain_then_kappa():
+    # one call both sends x outside the universe and meets a target over kappa
+    q = qstruct(chain(3), "y", (), Atomic("lt", (Var("y"), Var("x"))), ())
+    c2, small = chain(2), KappaThreshold.finite(2)
+    for call in (lambda a: ev(c2, q, a, small), lambda a: solution_set(c2, q, "y", a, small)):
+        with pytest.raises(AssignmentError, match=r"unassigned free variables: \['x'\]"):
+            call({})
+        with pytest.raises(DomainError, match="assignment sends 'x' outside the universe"):
+            call({"x": 5})
+        with pytest.raises(KappaError):
+            call({"x": 0})

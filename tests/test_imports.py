@@ -178,16 +178,32 @@ def test_package_definitions_are_all_referenced():
     assert unreferenced_definitions(modules, sources) == []
 
 
-def lru_cached_functions(source: str) -> list[str]:
-    """Functions decorated with lru_cache, bare or called, plain or as functools.lru_cache."""
-    out = []
+def _memo_decorators(source: str):
+    """(function name, decorator) for each lru_cache or cache decorator, bare or
+    called, plain or as functools.lru_cache."""
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for deco in node.decorator_list:
             target = deco.func if isinstance(deco, ast.Call) else deco
-            if getattr(target, "attr", getattr(target, "id", "")) == "lru_cache":
-                out.append(node.name)
+            if getattr(target, "attr", getattr(target, "id", "")) in ("lru_cache", "cache"):
+                yield node.name, deco
+
+
+def lru_cached_functions(source: str) -> list[str]:
+    """Functions memoised by lru_cache or cache."""
+    return sorted(name for name, _ in _memo_decorators(source))
+
+
+def unbounded_memos(source: str) -> list[str]:
+    """Memoised functions whose decorator names no integer maxsize."""
+    out = []
+    for name, deco in _memo_decorators(source):
+        args = deco.args if isinstance(deco, ast.Call) else []
+        keywords = deco.keywords if isinstance(deco, ast.Call) else []
+        size = args[0] if args else next((k.value for k in keywords if k.arg == "maxsize"), None)
+        if not (isinstance(size, ast.Constant) and type(size.value) is int):
+            out.append(name)
     return sorted(out)
 
 
@@ -219,13 +235,34 @@ def test_lint_lists_memos_in_source_and_readme():
     assert documented_memos(readme) == ["sample.a", "sample.b"]
 
 
+def test_lint_finds_memos_without_an_integer_maxsize():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=8)\ndef a(x):\n    return x\n\n"
+        "@functools.lru_cache(1_000)\ndef b(x):\n    return x\n\n"
+        "@lru_cache\ndef c(x):\n    return x\n\n"
+        "@lru_cache()\ndef d(x):\n    return x\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef e(x):\n    return x\n\n"
+        "@lru_cache(maxsize=True)\ndef f(x):\n    return x\n\n"
+        "@cache\ndef g(x):\n    return x\n\n"
+        "@lru_cache(typed=True)\ndef h(x):\n    return x\n"
+    )
+    assert lru_cached_functions(source) == ["a", "b", "c", "d", "e", "f", "g", "h"]
+    assert unbounded_memos(source) == ["c", "d", "e", "f", "g", "h"]
+
+
+def test_every_memo_is_bounded():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert unbounded_memos(path.read_text(encoding="utf-8")) == [], path.name
+
+
 def test_every_memo_is_named_in_the_library_map():
     memos = sorted(
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in lru_cached_functions(path.read_text(encoding="utf-8"))
     )
-    assert len(memos) == 7
+    assert len(memos) == 6
     assert documented_memos((REPO / "README.md").read_text(encoding="utf-8")) == memos
 
 

@@ -201,7 +201,7 @@ def test_type_disjunction_builds_its_sets_once_per_parameter_value():
     side = Not(Equal(Var("y"), Var("z")))
     targets = [decorated(bare_set(k), (frozenset(range(k)),)) for k in range(2, 6)]
     disj = Or(tuple(qstruct(t, "x", ("y",), main, (side,)) for t in targets))
-    memo = semantics._solution_sets
+    memo = semantics._swept
     misses = memo.cache_info().misses
     for z in sorted(n.universe):
         assert not ev(n, disj, {"z": z})
@@ -214,7 +214,7 @@ def test_elem_F_star_reads_the_sets_elem_F_built():
     frag = subformula_closure(
         Theory("t", LT, (Forall("x", Or(tuple(exists_n(k) for k in range(4)))),))
     )
-    memo = semantics._solution_sets
+    memo = semantics._swept
     before = memo.cache_info()
     assert elem_F(c.induced({60, 61}), c, frag).ok
     after_plain = memo.cache_info()
