@@ -35,6 +35,7 @@ from .structures import (
     canonical_key,
     decorated,
     enumerate_hereditary,
+    expand,
     find_isomorphism,
     normalize,
     reduct,
@@ -95,16 +96,16 @@ class ExpansionMap:
         return class_slice(self.spec, self.caps).expanded(self, n)
 
     def build(self, sl, n: FiniteStructure) -> FiniteStructure:
-        rels = {name: n.rel(name) for name in n.vocab.relation_names()}
-        funs = {name: n.fun(name) for name in n.vocab.function_names()}
         elems = sorted(n.universe)
-        for k in range(self.caps.size + 1):
-            rels[closure_relation_name(k)] = {
+        rels = {
+            closure_relation_name(k): {
                 (a, *tup)
                 for tup in itertools.product(elems, repeat=k)
                 for a in sl.cl(n, frozenset(tup)).structure.universe
             }
-        return FiniteStructure(self.vocab, n.universe, rels, funs)
+            for k in range(self.caps.size + 1)
+        }
+        return expand(n, self.vocab, rels)
 
     def restrict(self, n_plus: FiniteStructure) -> FiniteStructure:
         return reduct(n_plus, self.spec.vocabulary)
@@ -657,8 +658,7 @@ class MorleyizationMap:
         return class_slice(self.spec, self.caps).expanded(self, n)
 
     def build(self, sl, n: FiniteStructure) -> FiniteStructure:
-        rels = {name: n.rel(name) for name in n.vocab.relation_names()}
-        funs = {name: n.fun(name) for name in n.vocab.function_names()}
+        rels = {}
         elems = sorted(n.universe)
         types: dict[int, list] = {}
         for name, rep in self.reps:
@@ -669,7 +669,7 @@ class MorleyizationMap:
                 ]
             wanted = sl.anchored_type(rep.model, rep.anchor)
             rels[name] = {tup for tup, t in types[k] if t == wanted}
-        return FiniteStructure(self.vocab, n.universe, rels, funs)
+        return expand(n, self.vocab, rels)
 
 
 def galois_morleyization(

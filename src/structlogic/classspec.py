@@ -326,6 +326,8 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
             )
         elif kind == "max-size":
             max_size = _int(entry[1], "max-size")
+            if max_size < 0:
+                raise ParseError(f"max-size must be at least 0, got {max_size}")
         elif kind == "hereditary":
             hereditary = True
         elif kind == "members":

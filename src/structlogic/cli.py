@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("models", help="models of a theory up to a size bound")
     p.add_argument("theory")
     p.add_argument("--vocab", help="vocabulary file; default: the theory's")
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=lambda text: _at_least_zero(text, "size"), default=4)
     p.add_argument("--up-to-iso", action="store_true")
     common(p, kappa=True)
     p.set_defaults(fn=cli_models)

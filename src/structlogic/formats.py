@@ -132,6 +132,8 @@ def structure_from_node(node) -> FiniteStructure:
                 universe = frozenset(_expect_int(x, "element") for x in entry[1])
             else:
                 size = _expect_int(entry[1], "universe size")
+                if size < 0:
+                    raise _fail(f"universe size must be at least 0, got {size}")
         elif kind == "rel":
             if len(entry) < 2:
                 raise _fail(f"expected (rel name row ...): {sexpr.write(entry)}")

@@ -364,7 +364,9 @@ def _matches(
     it: only its key is compared, so a target in any other form gives False
     whatever the sets.  Sizes and side containment are compared before
     anything is built, so a main set of the wrong size is rejected without
-    being labelled.
+    being labelled.  The reduct to the target's vocabulary is n itself when
+    the vocabularies agree, so then the one structure built is the induced
+    candidate.
     """
     if len(main) != target.size or not all(side <= main for side in sides):
         return False

@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from math import prod
 from operator import add
 
 from .errors import ArityError, CapacityError, DomainError, PinError, SignatureError
 from .records import record
-from .vocab import Vocabulary
+from .vocab import EMPTY_VOCABULARY, Vocabulary
 
 # Canonical labelling is an exact search over labellings, still exponential in
 # the worst case; the cap bounds it, and tests pin the error past it.
@@ -64,6 +65,9 @@ class FiniteStructure:
                 if val not in universe:
                     raise DomainError(f"function {name!r} value {val} leaves the universe")
             funs[name] = table
+        self._fill(vocab, universe, rels, funs)
+
+    def _fill(self, vocab, universe, rels, funs) -> "FiniteStructure":
         self.vocab = vocab
         self.universe = universe
         self._relations = rels
@@ -75,6 +79,7 @@ class FiniteStructure:
             tuple((n, tuple(sorted(funs[n].items()))) for n in sorted(funs)),
         )
         self._hash = hash(self._key)
+        return self
 
     @property
     def size(self) -> int:
@@ -113,16 +118,11 @@ class FiniteStructure:
 
     def is_closed_subset(self, subset: frozenset[int]) -> bool:
         """True when subset contains every constant and is closed under functions."""
-        for name in self.vocab.function_names():
-            arity = self.vocab.fun_arity(name)
-            if arity == 0:
-                if self.constant(name) not in subset:
-                    return False
-                continue
-            for args in itertools.product(sorted(subset), repeat=arity):
-                if self._functions[name][args] not in subset:
-                    return False
-        return True
+        return all(
+            table[args] in subset
+            for name, table in self._functions.items()
+            for args in itertools.product(subset, repeat=self.vocab.fun_arity(name))
+        )
 
     def induced(self, subset: Iterable[int]) -> "FiniteStructure":
         """Substructure on subset; requires closure under functions and constants."""
@@ -131,28 +131,15 @@ class FiniteStructure:
             raise DomainError("subset leaves the universe")
         if not self.is_closed_subset(subset):
             raise DomainError("subset is not closed under the structure's functions")
-        rels = {
-            n: {t for t in ts if all(c in subset for c in t)}
-            for n, ts in self._relations.items()
-        }
-        funs = {
-            n: {args: v for args, v in table.items() if all(c in subset for c in args)}
-            for n, table in self._functions.items()
-        }
-        return FiniteStructure(self.vocab, subset, rels, funs)
+        inside = subset.issuperset
+        rels = {n: frozenset(filter(inside, ts)) for n, ts in self._relations.items()}
+        funs = {n: {a: v for a, v in f.items() if inside(a)} for n, f in self._functions.items()}
+        return _structure(self.vocab, subset, rels, funs)
 
     def is_substructure_of(self, other: "FiniteStructure") -> bool:
         if self.vocab != other.vocab or not self.universe <= other.universe:
             return False
-        for name, ts in self._relations.items():
-            induced = {t for t in other._relations[name] if all(c in self.universe for c in t)}
-            if ts != induced:
-                return False
-        for name, table in self._functions.items():
-            for args, val in table.items():
-                if other._functions[name][args] != val:
-                    return False
-        return True
+        return other.is_closed_subset(self.universe) and other.induced(self.universe) == self
 
     def __eq__(self, other):
         return isinstance(other, FiniteStructure) and self._key == other._key
@@ -186,6 +173,12 @@ class DecoratedStructure:
         return (self.base.key, tuple(tuple(sorted(s)) for s in self.subsets))
 
 
+def _structure(vocab: Vocabulary, universe: frozenset[int], rels, funs) -> FiniteStructure:
+    """A structure built from valid tables without the constructor's checks: rels maps
+    each relation of vocab to a frozenset of rows, funs each function to a total table."""
+    return FiniteStructure.__new__(FiniteStructure)._fill(vocab, universe, rels, funs)
+
+
 def decorated(base: FiniteStructure, subsets: Iterable[Iterable[int]] = ()) -> DecoratedStructure:
     return DecoratedStructure(base, tuple(frozenset(s) for s in subsets))
 
@@ -194,9 +187,27 @@ def reduct(s: FiniteStructure, tau0: Vocabulary) -> FiniteStructure:
     """Forget the symbols outside tau0; tau0 must be a sub-vocabulary."""
     if not tau0.is_subvocabulary_of(s.vocab):
         raise SignatureError("reduct target is not a sub-vocabulary")
-    rels = {n: s.rel(n) for n in tau0.relation_names()}
-    funs = {n: s.fun(n) for n in tau0.function_names()}
-    return FiniteStructure(tau0, s.universe, rels, funs)
+    if tau0 == s.vocab:
+        return s
+    rels = {n: s._relations[n] for n in tau0.relation_names()}
+    funs = {n: s._functions[n] for n in tau0.function_names()}
+    return _structure(tau0, s.universe, rels, funs)
+
+
+def expand(s: FiniteStructure, tau: Vocabulary, tables: Mapping) -> FiniteStructure:
+    """s over the wider tau, with a row set or table for each added symbol.
+
+    The tables are taken as given, as for every structure the package derives.
+    """
+    added = {*tau.relation_names(), *tau.function_names()} - s._relations.keys()
+    added -= s._functions.keys()
+    if not s.vocab.is_subvocabulary_of(tau) or tables.keys() != added:
+        raise SignatureError("an expansion needs a wider vocabulary and a table per added symbol")
+    rels = {
+        n: frozenset(tables[n]) if n in added else s._relations[n] for n in tau.relation_names()
+    }
+    funs = {n: tables[n] if n in added else s._functions[n] for n in tau.function_names()}
+    return _structure(tau, s.universe, rels, funs)
 
 
 def relabel(s: FiniteStructure, mapping: dict[int, int]) -> FiniteStructure:
@@ -223,18 +234,12 @@ def generated_substructure(s: FiniteStructure, seed: Iterable[int]) -> FiniteStr
     if not seed <= s.universe:
         raise DomainError("seed leaves the universe")
     closed = set(seed)
-    for name in s.vocab.function_names():
-        if s.vocab.fun_arity(name) == 0:
-            closed.add(s.constant(name))
     changed = True
     while changed:
         changed = False
-        for name in s.vocab.function_names():
-            arity = s.vocab.fun_arity(name)
-            if arity == 0:
-                continue
-            for args in itertools.product(sorted(closed), repeat=arity):
-                val = s._functions[name][args]
+        for name, table in s._functions.items():
+            for args in itertools.product(sorted(closed), repeat=s.vocab.fun_arity(name)):
+                val = table[args]
                 if val not in closed:
                     closed.add(val)
                     changed = True
@@ -377,13 +382,15 @@ def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tup
     perm = _least_labelling(groups, m) if m > 1 else list(range(m))
     label = perm.__getitem__
     r = len(rel_names)
-    relations = {n: {tuple(map(label, row)) for row in groups[j]} for j, n in enumerate(rel_names)}
+    relations = {
+        n: frozenset(tuple(map(label, row)) for row in groups[j]) for j, n in enumerate(rel_names)
+    }
     functions = {
         n: {tuple(map(label, row[:-1])): label(row[-1]) for row in groups[r + j]}
         for j, n in enumerate(fun_names)
     }
     subsets = tuple(frozenset(label(c) for (c,) in rows) for rows in groups[r + len(fun_names):])
-    canon_base = FiniteStructure(base.vocab, range(m), relations, functions)
+    canon_base = _structure(base.vocab, frozenset(range(m)), relations, functions)
     return DecoratedStructure(canon_base, subsets), tuple(perm)
 
 
@@ -453,20 +460,25 @@ def _function_interps(name: str, arity: int, elems: list[int]):
         yield name, dict(zip(cells, values))
 
 
+def _expansions(m: FiniteStructure, tau: Vocabulary):
+    """m over tau with each interpretation of the symbols tau adds, in product order."""
+    elems = sorted(m.universe)
+    spaces = [
+        _relation_interps(n, tau.rel_arity(n), elems)
+        for n in tau.relation_names()
+        if n not in m.vocab.relations
+    ]
+    spaces += [
+        _function_interps(n, tau.fun_arity(n), elems)
+        for n in tau.function_names()
+        if n not in m.vocab.functions
+    ]
+    for combo in itertools.product(*spaces):
+        yield expand(m, tau, dict(combo))
+
+
 def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
-    if k == 0:
-        if not vocab.has_constants():
-            budget[0] += 1
-            yield FiniteStructure(vocab, ())
-        return
-    elems = list(range(k))
-    rel_spaces = [
-        _relation_interps(n, vocab.rel_arity(n), elems) for n in vocab.relation_names()
-    ]
-    fun_spaces = [
-        _function_interps(n, vocab.fun_arity(n), elems) for n in vocab.function_names()
-    ]
-    for combo in itertools.product(*rel_spaces, *fun_spaces):
+    for s in _expansions(FiniteStructure(EMPTY_VOCABULARY, range(k)), vocab):
         budget[0] += 1
         if budget[0] > limit:
             raise CapacityError(
@@ -474,9 +486,7 @@ def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
                 count=budget[0],
                 limit=limit,
             )
-        rels = {n: ts for n, ts in combo[: len(rel_spaces)]}
-        funs = {n: table for n, table in combo[len(rel_spaces):]}
-        yield FiniteStructure(vocab, elems, rels, funs)
+        yield s
 
 
 def _invariant_fields(vocab: Vocabulary, k: int) -> dict[str, list[int]]:
@@ -538,6 +548,7 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
     yield from level
     for k in range(1, max_size + 1):
         elems = list(range(k))
+        universe = frozenset(elems)
         fields = _invariant_fields(vocab, k)
         spaces = []
         for n in names:
@@ -566,7 +577,7 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
                 if inv[-1] < max(inv):
                     continue
                 rels = {n: rep.rel(n) | combo[j][0] for j, n in enumerate(names)}
-                canon = normalize(FiniteStructure(vocab, elems, rels))
+                canon = normalize(_structure(vocab, universe, rels, {}))
                 seen.setdefault(canon.key, canon)
         level = [seen[key] for key in sorted(seen) if keep(seen[key])]
         yield from level
@@ -606,39 +617,23 @@ def enumerate_structures(
 def enumerate_expansions(m: FiniteStructure, tau: Vocabulary, max_raw: int = 5_000_000):
     """All tau-structures whose reduct to m's vocabulary is m, one per tau-isomorphism type.
 
-    Representatives keep m's universe and come in a deterministic order.
+    Representatives keep m's universe; of each type, the first expansion in
+    product order is kept.
     """
     if not m.vocab.is_subvocabulary_of(tau):
         raise SignatureError("expansion vocabulary must extend the structure's vocabulary")
-    new_rels = [n for n in tau.relation_names() if n not in m.vocab.relations]
-    new_funs = [n for n in tau.function_names() if n not in m.vocab.functions]
-    if not m.universe and any(tau.fun_arity(n) == 0 for n in new_funs):
+    if not m.universe and tau.has_constants():
         raise DomainError("cannot expand an empty structure with constants")
-    elems = sorted(m.universe)
-    spaces = [list(_relation_interps(n, tau.rel_arity(n), elems)) for n in new_rels]
-    spaces += [list(_function_interps(n, tau.fun_arity(n), elems)) for n in new_funs]
-    total = 1
-    for sp in spaces:
-        total *= len(sp)
+    k = m.size
+    total = prod(2 ** k**a for n, a in tau.relations.items() if n not in m.vocab.relations)
+    total *= prod(k ** k**a for n, a in tau.functions.items() if n not in m.vocab.functions)
     if total > max_raw:
         raise CapacityError(
             f"expansion enumeration exceeded the raw cap of {max_raw}",
             count=total,
             limit=max_raw,
         )
-    out = []
-    seen = set()
-    for combo in itertools.product(*spaces):
-        rels = {n: m.rel(n) for n in m.vocab.relation_names()}
-        funs = {n: m.fun(n) for n in m.vocab.function_names()}
-        for n, interp in combo:
-            if n in new_rels:
-                rels[n] = interp
-            else:
-                funs[n] = interp
-        cand = FiniteStructure(tau, m.universe, rels, funs)
-        key = normalize(cand).key
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-    return out
+    seen = {}
+    for cand in _expansions(m, tau):
+        seen.setdefault(normalize(cand).key, cand)
+    return list(seen.values())

@@ -407,9 +407,6 @@ class Fragment:
     def __len__(self):
         return len(self.formulas)
 
-    def union(self, other: "Fragment") -> "Fragment":
-        return Fragment(self.formulas | other.formulas)
-
     def qstruct_members(self):
         return [f for f in self if isinstance(f, QStruct)]
 

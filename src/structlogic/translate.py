@@ -19,6 +19,7 @@ from .structures import (
     FiniteStructure,
     decorated,
     enumerate_expansions,
+    expand,
 )
 from .syntax import (
     And,
@@ -185,11 +186,8 @@ def with_subset_predicates(
     if len(placeholders) != len(d.subsets):
         raise ShapeError("one placeholder name is needed per subset")
     vocab = d.base.vocab.union(Vocabulary({p: 1 for p in placeholders}))
-    rels = {name: d.base.rel(name) for name in d.base.vocab.relation_names()}
-    for pname, subset in zip(placeholders, d.subsets):
-        rels[pname] = {(e,) for e in subset}
-    funs = {name: d.base.fun(name) for name in d.base.vocab.function_names()}
-    return FiniteStructure(vocab, d.base.universe, rels, funs)
+    rels = {pname: {(e,) for e in subset} for pname, subset in zip(placeholders, d.subsets)}
+    return expand(d.base, vocab, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,12 @@ def test_models_jobs_is_a_usage_error(lin_theory, capsys):
 
 
 @pytest.mark.parametrize("iso", [[], ["--up-to-iso"]], ids=["raw", "up-to-iso"])
-def test_models_below_size_zero_prints_no_structure(lin_theory, iso, capsys):
-    assert main(["models", lin_theory, "--max-size", "-1", *iso]) == 0
-    assert capsys.readouterr().out == "count 0\n"
+def test_models_below_size_zero_is_a_usage_error(lin_theory, iso, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["models", lin_theory, "--max-size", "-1", *iso])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--max-size" in err
 
 
 def test_elem_star_accepts_initial_segment(chain2, chain3, lin_theory, capsys):
@@ -252,16 +255,23 @@ MALFORMED = {
     "class-name": ("dk", f"(class (name) {THEORY})"),
     "class-max-size": ("dk", f"(class {THEORY} (max-size))"),
     "class-max-size-word": ("dk", f"(class {THEORY} (max-size six))"),
+    "class-max-size-negative": ("dk", f"(class {THEORY} (max-size -1))"),
+    "structure-universe-negative": ("elem", "(structure (vocab (rel lt 2)) (universe -2))"),
     "class-kappa-word": ("dk", f"(class {THEORY} (kappa big))"),
     "class-order-word": ("dk", "(class (members (structure (vocab) (universe 1))) (order (a 0)))"),
 }
 
 
 @pytest.mark.parametrize("form", sorted(MALFORMED))
-def test_malformed_input_file_is_an_input_error(form, tmp_path, lt_formula, capsys):
+def test_malformed_input_file_is_an_input_error(form, tmp_path, lt_formula, lin_theory, capsys):
     command, text = MALFORMED[form]
     path = _write(tmp_path, "bad.sexp", text)
-    args = {"eval": [path, lt_formula], "models": [path], "dk": [path, "--caps", "1"]}[command]
+    args = {
+        "eval": [path, lt_formula],
+        "elem": [path, path, lin_theory],
+        "models": [path],
+        "dk": [path, "--caps", "1"],
+    }[command]
     assert main([command, *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_decorated_isomorphic, brute_isomorphic
+from structlogic.axiomatizer import functorial_expansion, galois_morleyization
+from structlogic.classspec import Caps
+from structlogic.closure import class_slice
+from structlogic.corpus import BUILDERS
 from structlogic.errors import CapacityError, DomainError, SignatureError
 from structlogic.structures import (
     DecoratedStructure,
@@ -14,8 +19,10 @@ from structlogic.structures import (
     _canonical_labelling,
     canonical_key,
     decorated,
+    enumerate_expansions,
     enumerate_hereditary,
     enumerate_structures,
+    expand,
     find_isomorphism,
     generated_substructure,
     normalize,
@@ -184,3 +191,114 @@ def test_relabel_preserves_key(n, data):
     perm = data.draw(st.permutations(list(range(n))))
     m = relabel(s, dict(enumerate(perm)))
     assert canonical_key(m) == canonical_key(s)
+
+
+# ---------------------------------------------------------------------------
+# derived structures, rebuilt through the checked constructor
+
+
+def assert_valid(s):
+    """s rebuilt by the public constructor: it must raise nothing and give an equal structure."""
+    rels = {n: s.rel(n) for n in s.vocab.relation_names()}
+    funs = {n: s.fun(n) for n in s.vocab.function_names()}
+    assert all(type(rows) is frozenset for rows in rels.values())
+    assert FiniteStructure(s.vocab, s.universe, rels, funs) == s
+
+
+WITH_CONSTANT = Vocabulary({"P": 1}, {"c": 0})
+DERIVED_VOCABS = [Vocabulary({"R": 2}), UNARY_FUN, WITH_CONSTANT]
+
+
+def random_structure(rng, vocab, size):
+    elems = range(size)
+    rels = {
+        n: {t for t in itertools.product(elems, repeat=vocab.rel_arity(n)) if rng.random() < 0.4}
+        for n in vocab.relation_names()
+    }
+    funs = {
+        n: {t: rng.randrange(size) for t in itertools.product(elems, repeat=vocab.fun_arity(n))}
+        for n in vocab.function_names()
+    }
+    return FiniteStructure(vocab, elems, rels, funs)
+
+
+@pytest.mark.parametrize("vocab", DERIVED_VOCABS, ids=["R2", "f1", "P1-c"])
+def test_derived_structures_pass_the_constructor_checks(vocab):
+    rng = random.Random(str(vocab))
+    wider = vocab.union(Vocabulary({"Q": 1, "S": 2}, {"g": 1}))
+    for size in range(1 if vocab.has_constants() else 0, 6):
+        for _ in range(4):
+            s = random_structure(rng, vocab, size)
+            for bits in range(1 << size):
+                subset = frozenset(e for e in range(size) if bits >> e & 1)
+                if s.is_closed_subset(subset):
+                    part = s.induced(subset)
+                    assert_valid(part)
+                    assert part.is_substructure_of(s)
+            assert_valid(generated_substructure(s, rng.sample(range(size), min(size, 1))))
+            assert reduct(s, vocab) is s
+            for tau0 in (Vocabulary(), Vocabulary(vocab.relations)):
+                assert_valid(reduct(s, tau0))
+            wide = expand(
+                s,
+                wider,
+                {
+                    "Q": {(e,) for e in range(size) if rng.random() < 0.5},
+                    "S": {(rng.randrange(size), rng.randrange(size))} if size else set(),
+                    "g": {(e,): rng.randrange(size) for e in range(size)},
+                },
+            )
+            assert_valid(wide)
+            assert reduct(wide, vocab) == s
+            assert_valid(normalize(s))
+            assert_valid(normalize(decorated(wide, [frozenset(range(size // 2))])).base)
+
+
+def test_expand_takes_one_table_per_added_symbol():
+    s = chain(2)
+    with pytest.raises(SignatureError):
+        expand(s, Vocabulary({"lt": 2, "P": 1}), {})
+    with pytest.raises(SignatureError):
+        expand(s, Vocabulary({"lt": 2}), {"lt": set()})
+    with pytest.raises(SignatureError):
+        expand(s, Vocabulary({"P": 1}), {"P": set()})
+
+
+@pytest.mark.parametrize("vocab", DERIVED_VOCABS, ids=["R2", "f1", "P1-c"])
+@pytest.mark.parametrize("up_to_iso", [False, True], ids=["raw", "up-to-iso"])
+def test_enumerated_structures_pass_the_constructor_checks(vocab, up_to_iso):
+    for s in enumerate_structures(vocab, 3, up_to_iso=up_to_iso):
+        assert_valid(s)
+
+
+def test_enumerated_expansions_pass_the_constructor_checks():
+    rng = random.Random(7)
+    cases = [
+        (chain(3), Vocabulary({"lt": 2, "P": 1})),
+        (chain(2), Vocabulary({"lt": 2}, {"c": 0, "f": 1})),
+        (random_structure(rng, UNARY_FUN, 3), Vocabulary({"R": 2}, {"f": 1})),
+        (random_structure(rng, WITH_CONSTANT, 2), WITH_CONSTANT.union(Vocabulary({"E": 2}))),
+    ]
+    for m, tau in cases:
+        expansions = enumerate_expansions(m, tau)
+        assert expansions
+        for s in expansions:
+            assert_valid(s)
+            assert reduct(s, m.vocab) == m
+
+
+@pytest.mark.parametrize(
+    "name", ["linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks"]
+)
+def test_class_parts_and_expansions_pass_the_constructor_checks(name):
+    spec = BUILDERS[name]()
+    caps = Caps(size=3)
+    sl = class_slice(spec, caps)
+    maps = [functorial_expansion(spec, caps), galois_morleyization(spec, caps=caps)[0]]
+    for n in sl.members:
+        for part in sl.parts(n):
+            assert_valid(part)
+        for emap in maps:
+            n_plus = emap.expand(n)
+            assert_valid(n_plus)
+            assert reduct(n_plus, spec.vocabulary) == n
