@@ -48,7 +48,7 @@ from .structures import (
     DecoratedStructure,
     FiniteStructure,
     canonical_key,
-    decorated,
+    decorated_part,
     enumerate_hereditary,
     enumerate_structures,
     normalize,
@@ -366,14 +366,12 @@ def _matches(
     anything is built, so a main set of the wrong size is rejected without
     being labelled.  The reduct to the target's vocabulary is n itself when
     the vocabularies agree, so then the one structure built is the induced
-    candidate.
+    candidate, from sets that n's sweeps gave and that are not checked again.
     """
     if len(main) != target.size or not all(side <= main for side in sides):
         return False
-    base = reduct(n, target.base.vocab)
-    if not base.is_closed_subset(main):
-        return False
-    return canonical_key(decorated(base.induced(main), sides)) == target.key
+    part = decorated_part(reduct(n, target.base.vocab), main, sides)
+    return part is not None and canonical_key(part) == target.key
 
 
 _RUNTIME = {

@@ -11,7 +11,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from math import prod
-from operator import add
+from operator import add, attrgetter
 
 from .errors import ArityError, CapacityError, DomainError, PinError, SignatureError
 from .records import record
@@ -131,15 +131,12 @@ class FiniteStructure:
             raise DomainError("subset leaves the universe")
         if not self.is_closed_subset(subset):
             raise DomainError("subset is not closed under the structure's functions")
-        inside = subset.issuperset
-        rels = {n: frozenset(filter(inside, ts)) for n, ts in self._relations.items()}
-        funs = {n: {a: v for a, v in f.items() if inside(a)} for n, f in self._functions.items()}
-        return _structure(self.vocab, subset, rels, funs)
+        return _induced(self, subset)
 
     def is_substructure_of(self, other: "FiniteStructure") -> bool:
         if self.vocab != other.vocab or not self.universe <= other.universe:
             return False
-        return other.is_closed_subset(self.universe) and other.induced(self.universe) == self
+        return other.is_closed_subset(self.universe) and _induced(other, self.universe) == self
 
     def __eq__(self, other):
         return isinstance(other, FiniteStructure) and self._key == other._key
@@ -179,8 +176,36 @@ def _structure(vocab: Vocabulary, universe: frozenset[int], rels, funs) -> Finit
     return FiniteStructure.__new__(FiniteStructure)._fill(vocab, universe, rels, funs)
 
 
+def _induced(s: FiniteStructure, subset: frozenset[int]) -> FiniteStructure:
+    """The substructure of s on subset, a closed subset of its universe, unchecked."""
+    inside = subset.issuperset
+    rels = {n: frozenset(filter(inside, ts)) for n, ts in s._relations.items()}
+    funs = {n: {a: v for a, v in f.items() if inside(a)} for n, f in s._functions.items()}
+    return _structure(s.vocab, subset, rels, funs)
+
+
+def _decorated(base: FiniteStructure, subsets: tuple[frozenset[int], ...]) -> DecoratedStructure:
+    """A decorated structure from frozensets inside base's universe, without the checks."""
+    d = DecoratedStructure.__new__(DecoratedStructure)
+    object.__setattr__(d, "base", base)
+    object.__setattr__(d, "subsets", subsets)
+    return d
+
+
 def decorated(base: FiniteStructure, subsets: Iterable[Iterable[int]] = ()) -> DecoratedStructure:
     return DecoratedStructure(base, tuple(frozenset(s) for s in subsets))
+
+
+def decorated_part(s: FiniteStructure, subset: frozenset[int], subsets: tuple):
+    """The part of s on subset decorated by subsets, or None when subset is not closed in s.
+
+    subset must be a frozenset inside s's universe, and subsets a tuple of
+    frozensets inside subset, as the sets a formula sweeps from s are; they
+    are not checked again.
+    """
+    if not s.is_closed_subset(subset):
+        return None
+    return _decorated(_induced(s, subset), subsets)
 
 
 def reduct(s: FiniteStructure, tau0: Vocabulary) -> FiniteStructure:
@@ -251,22 +276,23 @@ def generated_substructure(s: FiniteStructure, seed: Iterable[int]) -> FiniteStr
 
 
 def _as_decorated(x) -> DecoratedStructure:
-    return x if isinstance(x, DecoratedStructure) else DecoratedStructure(x, ())
+    return x if isinstance(x, DecoratedStructure) else _decorated(x, ())
 
 
-def _labelling_rows(d: DecoratedStructure, rel_names, fun_names) -> list[list[tuple[int, ...]]]:
-    """d's relations, function graphs (args then value) and subsets as rows of element indices.
+def _labelling_rows(s: FiniteStructure, subsets=()) -> list[list[tuple[int, ...]]]:
+    """s's relations, function graphs (args then value) and subsets as rows of element indices.
 
     One group per symbol or subset, in encoding order.  Each group has a
     fixed row count and arity, so comparing two labellings' sorted groups in
     turn is comparing their (relations, functions, subsets) encodings.
     """
-    index = {e: i for i, e in enumerate(d.base.elements)}.__getitem__
-    groups = [[tuple(map(index, t)) for t in d.base.rel(n)] for n in rel_names]
+    index = {e: i for i, e in enumerate(s.elements)}.__getitem__
+    groups = [[tuple(map(index, t)) for t in s.rel(n)] for n in s.vocab.relation_names()]
     groups += [
-        [(*map(index, args), index(v)) for args, v in d.base.fun(n).items()] for n in fun_names
+        [(*map(index, args), index(v)) for args, v in s.fun(n).items()]
+        for n in s.vocab.function_names()
     ]
-    groups += [[(index(e),) for e in s] for s in d.subsets]
+    groups += [[(index(e),) for e in subset] for subset in subsets]
     return groups
 
 
@@ -358,9 +384,49 @@ def _least_labelling(groups, m: int) -> list[int]:
     return best_lab
 
 
+def _canonical_rows(groups, m: int):
+    """Each group's rows under a least labelling of the points 0..m-1, as frozensets, and
+    the labelling: the one _least_labelling reaches for groups, the rows of each symbol
+    and subset as _labelling_rows gives them.
+
+    Two row lists over one vocabulary give equal frozensets exactly when
+    their structures are isomorphic: the frozensets are the canonical copy's
+    tables, one per symbol, so rows of different symbols are never merged.
+    Sizes beyond CANONICAL_SIZE_CAP raise CapacityError.
+    """
+    if m > CANONICAL_SIZE_CAP:
+        raise CapacityError(
+            f"canonical labeling caps at size {CANONICAL_SIZE_CAP}, got {m}",
+            count=m,
+            limit=CANONICAL_SIZE_CAP,
+        )
+    perm = _least_labelling(groups, m) if m > 1 else list(range(m))
+    label = perm.__getitem__
+    return tuple(frozenset([tuple(map(label, row)) for row in rows]) for rows in groups), perm
+
+
+def _canonical_tables(vocab: Vocabulary, canon_rows, groups, perm):
+    """The canonical copy's relations and function tables, from _canonical_rows(groups, m).
+
+    A function table is relabelled from its rows in groups (args then value),
+    so its entries keep the order of the labelled structure's table.
+    """
+    label = perm.__getitem__
+    r = len(vocab.relations)
+    rels = dict(zip(vocab.relation_names(), canon_rows))
+    funs = {
+        n: {tuple(map(label, row[:-1])): label(row[-1]) for row in groups[r + j]}
+        for j, n in enumerate(vocab.function_names())
+    }
+    return rels, funs
+
+
 @lru_cache(maxsize=200_000)
 def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
-    """The canonical copy of d and a labelling onto it.
+    """The canonical copy of d and a labelling onto it, memoised for the callers
+    that label one structure again: normalize, canonical_key and
+    find_isomorphism.  The enumerators label rows through _canonical_rows and
+    leave no entry here.
 
     The copy has the least (relations, functions, subsets) encoding over all
     labellings of d by 0..m-1.  The labelling is a tuple: the i-th smallest
@@ -368,30 +434,14 @@ def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tup
     whose encoding is that minimum, the one _least_labelling reaches; when d
     has automorphisms, others reach the same copy.
     """
-    base = d.base
-    m = base.size
-    if m > CANONICAL_SIZE_CAP:
-        raise CapacityError(
-            f"canonical labeling caps at size {CANONICAL_SIZE_CAP}, got {m}",
-            count=m,
-            limit=CANONICAL_SIZE_CAP,
-        )
-    rel_names = base.vocab.relation_names()
-    fun_names = base.vocab.function_names()
-    groups = _labelling_rows(d, rel_names, fun_names)
-    perm = _least_labelling(groups, m) if m > 1 else list(range(m))
-    label = perm.__getitem__
-    r = len(rel_names)
-    relations = {
-        n: frozenset(tuple(map(label, row)) for row in groups[j]) for j, n in enumerate(rel_names)
-    }
-    functions = {
-        n: {tuple(map(label, row[:-1])): label(row[-1]) for row in groups[r + j]}
-        for j, n in enumerate(fun_names)
-    }
-    subsets = tuple(frozenset(label(c) for (c,) in rows) for rows in groups[r + len(fun_names):])
-    canon_base = _structure(base.vocab, frozenset(range(m)), relations, functions)
-    return DecoratedStructure(canon_base, subsets), tuple(perm)
+    m = d.base.size
+    vocab = d.base.vocab
+    groups = _labelling_rows(d.base, d.subsets)
+    canon_rows, perm = _canonical_rows(groups, m)
+    rels, funs = _canonical_tables(vocab, canon_rows, groups, perm)
+    subsets = tuple(frozenset([c for (c,) in rows]) for rows in canon_rows[len(rels) + len(funs):])
+    canon = _decorated(_structure(vocab, frozenset(range(m)), rels, funs), subsets)
+    return canon, tuple(perm)
 
 
 def normalize(x):
@@ -402,7 +452,7 @@ def normalize(x):
     """
     if isinstance(x, DecoratedStructure):
         return _canonical_labelling(x)[0]
-    return _canonical_labelling(DecoratedStructure(x, ()))[0].base
+    return _canonical_labelling(_decorated(x, ()))[0].base
 
 
 def canonical_key(x):
@@ -433,10 +483,10 @@ def find_isomorphism(src, dst, pins: Mapping[int, int] | None = None) -> dict[in
     if src.size != dst.size:
         return None
     canon_src, to_label = _canonical_labelling(
-        DecoratedStructure(src.base, src.subsets + tuple(frozenset((a,)) for a in pins))
+        _decorated(src.base, src.subsets + tuple(frozenset((a,)) for a in pins))
     )
     canon_dst, from_label = _canonical_labelling(
-        DecoratedStructure(dst.base, dst.subsets + tuple(frozenset((b,)) for b in pins.values()))
+        _decorated(dst.base, dst.subsets + tuple(frozenset((b,)) for b in pins.values()))
     )
     if canon_src != canon_dst:
         return None
@@ -460,25 +510,33 @@ def _function_interps(name: str, arity: int, elems: list[int]):
         yield name, dict(zip(cells, values))
 
 
-def _expansions(m: FiniteStructure, tau: Vocabulary):
-    """m over tau with each interpretation of the symbols tau adds, in product order."""
-    elems = sorted(m.universe)
+def _interpretations(old: Vocabulary, tau: Vocabulary, elems: list[int]):
+    """Each interpretation over elems of the symbols tau adds to old, in product order.
+
+    An interpretation is a tuple of (name, row set) for the added relations,
+    then (name, table) for the added functions, each part in name order.
+    """
     spaces = [
         _relation_interps(n, tau.rel_arity(n), elems)
         for n in tau.relation_names()
-        if n not in m.vocab.relations
+        if n not in old.relations
     ]
     spaces += [
         _function_interps(n, tau.fun_arity(n), elems)
         for n in tau.function_names()
-        if n not in m.vocab.functions
+        if n not in old.functions
     ]
-    for combo in itertools.product(*spaces):
-        yield expand(m, tau, dict(combo))
+    return itertools.product(*spaces)
 
 
-def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
-    for s in _expansions(FiniteStructure(EMPTY_VOCABULARY, range(k)), vocab):
+def _graph(table) -> list[tuple[int, ...]]:
+    """A function table's rows for labelling: the arguments, then the value."""
+    return [(*args, v) for args, v in table.items()]
+
+
+def _raw_tables(vocab: Vocabulary, k: int, budget: list[int], limit: int):
+    """Each interpretation of vocab over 0..k-1, counted against the raw cap."""
+    for combo in _interpretations(EMPTY_VOCABULARY, vocab, range(k)):
         budget[0] += 1
         if budget[0] > limit:
             raise CapacityError(
@@ -486,7 +544,7 @@ def _raw_structures(vocab: Vocabulary, k: int, budget: list[int], limit: int):
                 count=budget[0],
                 limit=limit,
             )
-        yield s
+        yield combo
 
 
 def _invariant_fields(vocab: Vocabulary, k: int) -> dict[str, list[int]]:
@@ -537,6 +595,11 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
     So the output is every accepted type up to max_size, as when every
     extension is labelled; when keep is not hereditary, types may be lost.
     max_raw counts every extension, labelled or not.
+
+    An extension is labelled as rows, the representative's plus the new
+    point's, and deduplicated on its canonical rows; a structure is built
+    only for the first extension of each new type, and the canonical
+    labelling memo is not touched.
     """
     if vocab.functions:
         raise SignatureError("hereditary enumeration requires a function-free vocabulary")
@@ -557,12 +620,13 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
             )
             space = []
             for mask in range(1 << len(cells)):
-                rows = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+                rows = [c for i, c in enumerate(cells) if mask >> i & 1]
                 space.append((rows, _point_invariants({n: rows}, fields, k)))
             spaces.append(space)
         seen = {}
         for rep in level:
-            base = _point_invariants({n: rep.rel(n) for n in names}, fields, k)
+            base = _point_invariants(rep._relations, fields, k)
+            rep_rows = [list(rep._relations[n]) for n in names]
             for combo in itertools.product(*spaces):
                 budget += 1
                 if budget > max_raw:
@@ -576,10 +640,11 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
                     inv = list(map(add, inv, counts))
                 if inv[-1] < max(inv):
                     continue
-                rels = {n: rep.rel(n) | combo[j][0] for j, n in enumerate(names)}
-                canon = normalize(_structure(vocab, universe, rels, {}))
-                seen.setdefault(canon.key, canon)
-        level = [seen[key] for key in sorted(seen) if keep(seen[key])]
+                groups = [old + new for old, (new, _) in zip(rep_rows, combo)]
+                canon_rows = _canonical_rows(groups, k)[0]
+                if canon_rows not in seen:
+                    seen[canon_rows] = _structure(vocab, universe, dict(zip(names, canon_rows)), {})
+        level = [s for s in sorted(seen.values(), key=attrgetter("key")) if keep(s)]
         yield from level
 
 
@@ -594,31 +659,37 @@ def enumerate_structures(
     With up_to_iso, exactly one canonical representative per isomorphism type,
     sorted by canonical key within each size.  Purely relational vocabularies
     go one element at a time (every structure extends one of its one-point
-    deletions); vocabularies with functions fall back to filtering the raw
-    stream, where one-point deletions need not be substructures.
+    deletions); vocabularies with functions fall back to labelling the raw
+    tables, where one-point deletions need not be substructures, and build
+    the canonical copy of each new type only.
     """
     budget = [0]
-    if not up_to_iso:
-        for k in range(max_size + 1):
-            yield from _raw_structures(vocab, k, budget, max_raw)
-        return
-    if not vocab.functions:
+    if up_to_iso and not vocab.functions:
         yield from enumerate_hereditary(vocab, max_size, lambda s: True, max_raw)
         return
+    r = len(vocab.relations)
     for k in range(max_size + 1):
+        universe = frozenset(range(k))
+        if not up_to_iso:
+            for combo in _raw_tables(vocab, k, budget, max_raw):
+                yield _structure(vocab, universe, dict(combo[:r]), dict(combo[r:]))
+            continue
         seen = {}
-        for s in _raw_structures(vocab, k, budget, max_raw):
-            canon = normalize(s)
-            seen.setdefault(canon.key, canon)
-        for key in sorted(seen):
-            yield seen[key]
+        for combo in _raw_tables(vocab, k, budget, max_raw):
+            groups = [rows for _, rows in combo[:r]] + [_graph(t) for _, t in combo[r:]]
+            canon_rows, perm = _canonical_rows(groups, k)
+            if canon_rows not in seen:
+                rels, funs = _canonical_tables(vocab, canon_rows, groups, perm)
+                seen[canon_rows] = _structure(vocab, universe, rels, funs)
+        yield from sorted(seen.values(), key=attrgetter("key"))
 
 
 def enumerate_expansions(m: FiniteStructure, tau: Vocabulary, max_raw: int = 5_000_000):
     """All tau-structures whose reduct to m's vocabulary is m, one per tau-isomorphism type.
 
     Representatives keep m's universe; of each type, the first expansion in
-    product order is kept.
+    product order is kept.  Each expansion is labelled as rows, m's and the
+    added symbols', and only the kept ones are built.
     """
     if not m.vocab.is_subvocabulary_of(tau):
         raise SignatureError("expansion vocabulary must extend the structure's vocabulary")
@@ -633,7 +704,15 @@ def enumerate_expansions(m: FiniteStructure, tau: Vocabulary, max_raw: int = 5_0
             count=total,
             limit=max_raw,
         )
+    old = dict(zip(m.vocab.relation_names() + m.vocab.function_names(), _labelling_rows(m)))
+    by_index = _interpretations(m.vocab, tau, range(k))
     seen = {}
-    for cand in _expansions(m, tau):
-        seen.setdefault(normalize(cand).key, cand)
+    # the same interpretations over m's elements and over their indices, in step
+    for combo, on_elements in zip(by_index, _interpretations(m.vocab, tau, m.elements)):
+        added = dict(combo)
+        groups = [old[n] if n in old else added[n] for n in tau.relation_names()]
+        groups += [old[n] if n in old else _graph(added[n]) for n in tau.function_names()]
+        canon_rows = _canonical_rows(groups, k)[0]
+        if canon_rows not in seen:
+            seen[canon_rows] = expand(m, tau, dict(on_elements))
     return list(seen.values())

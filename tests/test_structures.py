@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_decorated_isomorphic, brute_isomorphic
+from structlogic import structures
 from structlogic.axiomatizer import functorial_expansion, galois_morleyization
 from structlogic.classspec import Caps
 from structlogic.closure import class_slice
 from structlogic.corpus import BUILDERS
 from structlogic.errors import CapacityError, DomainError, SignatureError
+from structlogic.semantics import enumerate_models
 from structlogic.structures import (
+    CANONICAL_SIZE_CAP,
     DecoratedStructure,
     FiniteStructure,
     _canonical_labelling,
@@ -29,6 +32,7 @@ from structlogic.structures import (
     reduct,
     relabel,
 )
+from structlogic.syntax import And, Atomic, Forall, Not, Or, Theory, Var
 from structlogic.vocab import Vocabulary
 
 GRAPH = Vocabulary({"E": 2})
@@ -167,12 +171,59 @@ def test_raw_cap_counts_every_extension():
     assert err.value.count == 13650
 
 
-def test_enumeration_labels_few_extensions_per_type():
+def test_enumeration_labels_few_extensions_per_type(monkeypatch):
     # labelling every extension costs 13650 labellings for the 3161 types
-    _canonical_labelling.cache_clear()
+    calls = []
+
+    def counted(groups, m):
+        calls.append(m)
+        return canonical_rows(groups, m)
+
+    canonical_rows = structures._canonical_rows
+    monkeypatch.setattr(structures, "_canonical_rows", counted)
     types = sum(1 for _ in enumerate_structures(Vocabulary({"R": 2}), 4, up_to_iso=True))
     assert types == 3161
-    assert _canonical_labelling.cache_info().misses < 2 * types
+    assert len(calls) < 2 * types
+
+
+def _universal_theory():
+    # every structure whose P points are isolated under the symmetric E
+    x, y = Var("x"), Var("y")
+    symmetric = Or((Not(Atomic("E", (x, y))), Atomic("E", (y, x))))
+    isolated = Or((Not(Atomic("P", (x,))), Not(Atomic("E", (x, y)))))
+    sentence = Forall("x", Forall("y", And((symmetric, isolated))))
+    return Theory("isolated-P", Vocabulary({"E": 2, "P": 1}), (sentence,))
+
+
+def test_enumerators_leave_the_labelling_memo_alone():
+    # the memo is for structures callers label again; enumerated candidates are labelled once
+    before = _canonical_labelling.cache_info().currsize
+    loopless = lambda s: all(a != b for a, b in s.rel("E"))  # noqa: E731
+    counts = [
+        sum(1 for _ in enumerate_structures(Vocabulary({"R": 2}), 3, up_to_iso=True)),
+        sum(1 for _ in enumerate_structures(WITH_CONSTANT, 3, up_to_iso=True)),
+        sum(1 for _ in enumerate_hereditary(GRAPH, 3, loopless)),
+        len(enumerate_expansions(chain(3), Vocabulary({"lt": 2, "P": 1}))),
+        sum(1 for _ in enumerate_models(_universal_theory(), max_size=3)),
+    ]
+    assert counts == [1 + 2 + 10 + 104, 2 + 4 + 6, 1 + 1 + 3 + 16, 8, 42]
+    assert _canonical_labelling.cache_info().currsize == before
+
+
+def test_every_enumeration_route_stops_at_the_labelling_cap():
+    past = CANONICAL_SIZE_CAP + 1
+    unary = Vocabulary({"P": 1})
+    routes = [
+        lambda: list(enumerate_hereditary(unary, past, lambda s: not s.rel("P"))),
+        lambda: list(enumerate_structures(unary, past, up_to_iso=True)),
+        lambda: list(enumerate_structures(Vocabulary(functions={"c": 0}), past, up_to_iso=True)),
+        lambda: enumerate_expansions(FiniteStructure(Vocabulary(), range(past)), unary),
+        lambda: list(enumerate_models(Theory("all", unary, ()), max_size=past)),
+    ]
+    for route in routes:
+        with pytest.raises(CapacityError) as err:
+            route()
+        assert (err.value.count, err.value.limit) == (past, CANONICAL_SIZE_CAP)
 
 
 def test_generated_substructure_closes_under_functions():
