@@ -23,8 +23,11 @@ the same signature on its node, memoised by `_swept` per structure and
 parameter values, so formulas sharing the node share its entries.  A
 structure quantifier's sweep gives its main and side solution sets, one
 sweep per equal slots tuple, so the disjuncts of a type disjunction share
-one entry; `_matches` compares them with the target in the canonical form
-taken when the formula is compiled.
+one entry.  `_matches` compares them with the target's row counts and
+canonical rows, taken once per equal target when the formula is compiled: it
+reads n's rows of the target's symbols inside the main set, rejects on sizes,
+closure and row counts, and labels only a part that passes, building no
+structure.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -40,19 +43,16 @@ from itertools import product
 from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
-from .errors import AssignmentError, CapacityError, DomainError, SignatureError
+from .errors import AssignmentError, CapacityError, DomainError, SignatureError, StructLogicError
 from .formats import print_formula
 from .records import record
 from .structures import (
-    CANONICAL_SIZE_CAP,
     DecoratedStructure,
     FiniteStructure,
-    canonical_key,
-    decorated_part,
+    MatchTarget,
     enumerate_hereditary,
     enumerate_structures,
-    normalize,
-    reduct,
+    induces_copy,
 )
 from .syntax import (
     And,
@@ -70,6 +70,7 @@ from .syntax import (
     Theory,
     UNBOUNDED,
     Var,
+    audit_formula,
     check_kappa,
     forall_prefix,
     free_vars,
@@ -205,16 +206,12 @@ class _Source:
             return f"_swept(n, {self.const(_sweep(phi))}, {values})", _ATOM, 2
         if isinstance(phi, QStruct):
             values = _tuple(names[v] for v in sorted(free_vars(phi)))
-            target = phi.target
-            if target.size <= CANONICAL_SIZE_CAP:
-                # past the cap, no main set of the target's size can be labelled
-                target = normalize(target)
             checked = self.const([None])  # the last structure vocabulary admitted
             admit = f"_admit(n, {self.const(phi.target.base.vocab)}, {checked})"
             sets = f"_swept(n, {self.const(_sweep(phi))}, {values})"
             text = (
                 f"(n.vocab is {checked}[0] or {admit}) "
-                f"and _matches(n, {self.const(target)}, *{sets})"
+                f"and _matches(n, {self.const(_target(phi.target))}, *{sets})"
             )
             return text, _AND, 3
         raise TypeError(f"not a formula: {phi!r}")
@@ -225,7 +222,7 @@ class _Source:
         if self.elements:
             head.append("E = n.elements")
         if any(arity is None for _, arity in self.tables):
-            head.append("R = n._relations")
+            head.append("R = n.relations")
         for (symbol, arity), local in self.tables.items():
             c = self.const(symbol)
             if arity is None:
@@ -354,24 +351,28 @@ def _swept(n: FiniteStructure, sweep, values: tuple):
     return sweep(n, values)
 
 
-@lru_cache(maxsize=400_000)
-def _matches(
-    n: FiniteStructure, target: DecoratedStructure, main: frozenset, sides: tuple
-) -> bool:
-    """Whether main, decorated by sides, induces a copy of the target in n.
+_TARGETS = WeakValueDictionary()
 
-    The target must be in canonical form, as the compiled quantifier passes
-    it: only its key is compared, so a target in any other form gives False
-    whatever the sets.  Sizes and side containment are compared before
-    anything is built, so a main set of the wrong size is rejected without
-    being labelled.  The reduct to the target's vocabulary is n itself when
-    the vocabularies agree, so then the one structure built is the induced
-    candidate, from sets that n's sweeps gave and that are not checked again.
-    """
-    if len(main) != target.size or not all(side <= main for side in sides):
-        return False
-    part = decorated_part(reduct(n, target.base.vocab), main, sides)
-    return part is not None and canonical_key(part) == target.key
+
+def _target(target: DecoratedStructure) -> MatchTarget:
+    """The target's row counts and canonical rows, labelled once per target key
+    while any compiled quantifier or memo entry holds them, so equal targets
+    share `_matches` entries.  `qstruct` puts every target within the
+    labelling cap in canonical form, so its key is the canonical key."""
+    found = _TARGETS.get(target.key)
+    if found is None:
+        found = _TARGETS[target.key] = MatchTarget(target)
+    return found
+
+
+@lru_cache(maxsize=400_000)
+def _matches(n: FiniteStructure, target: MatchTarget, main: frozenset, sides: tuple) -> bool:
+    """Whether main, decorated by sides, induces a copy of the target in n:
+    `induces_copy`, which reads n's rows of the target's symbols, rejects on
+    sizes, closure and row counts, and labels only a part that passes them,
+    building no structure and leaving no labelling-memo entry.  The target
+    is hashed by identity."""
+    return induces_copy(n, target, main, sides)
 
 
 _RUNTIME = {
@@ -478,19 +479,31 @@ class ElemReport:
 _OK = ElemReport(True, "ok")
 
 
+def _check_sweep_cap(phi: Formula, count: int) -> None:
+    if count > MAX_ELEM_FREE_VARS:
+        raise CapacityError(
+            f"{count} free variables exceed the exhaustive-sweep cap "
+            f"of {MAX_ELEM_FREE_VARS} in {print_formula(phi)}",
+            count=count,
+            limit=MAX_ELEM_FREE_VARS,
+        )
+
+
+def _well_formed(phi: Formula, vocab) -> bool:
+    try:
+        audit_formula(phi, vocab)
+    except StructLogicError:
+        return False
+    return True
+
+
 def _assignments(elems: tuple[int, ...], phi: Formula, variables: tuple, kappa: KappaThreshold):
     """Every tuple of values in elems for phi's free variables, sorted.
 
     phi is checked first: its free variables against the sweep cap, and its
     targets against kappa when there is at least one assignment.
     """
-    if len(variables) > MAX_ELEM_FREE_VARS:
-        raise CapacityError(
-            f"{len(variables)} free variables exceed the exhaustive-sweep cap "
-            f"of {MAX_ELEM_FREE_VARS} in {print_formula(phi)}",
-            count=len(variables),
-            limit=MAX_ELEM_FREE_VARS,
-        )
+    _check_sweep_cap(phi, len(variables))
     if elems or not variables:
         check_kappa(phi, kappa)
     return product(elems, repeat=len(variables))
@@ -505,12 +518,19 @@ def elem_F(
     """Truth agreement between a substructure and its parent on a fragment.
 
     Every fragment member is checked under every assignment of its free
-    variables into the smaller universe.
+    variables into the smaller universe, except a quantifier-free member
+    that is well formed over the vocabulary: an induced substructure agrees
+    with its parent on it, so only its free variables are checked against
+    the sweep cap.  A member that fails the audit is evaluated, so it raises
+    where it is read, as any other.
     """
     if not n1.is_substructure_of(n2):
         return ElemReport(False, "not-substructure")
     elems = n1.elements
     for phi in f:
+        if is_quantifier_free(phi) and _well_formed(phi, n1.vocab):
+            _check_sweep_cap(phi, len(free_vars(phi)))
+            continue
         test = _compiled(phi)
         variables = test.variables
         for values in _assignments(elems, phi, variables, kappa):

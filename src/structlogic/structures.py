@@ -23,7 +23,13 @@ CANONICAL_SIZE_CAP = 8
 
 
 class FiniteStructure:
-    __slots__ = ("vocab", "universe", "_relations", "_functions", "_key", "_hash")
+    """A finite structure over a vocabulary.
+
+    `relations` maps each relation symbol to its frozenset of rows; read it,
+    never change it.  Function tables stay behind `fun` and `apply`.
+    """
+
+    __slots__ = ("vocab", "universe", "relations", "_functions", "_key", "_hash")
 
     def __init__(
         self,
@@ -70,7 +76,7 @@ class FiniteStructure:
     def _fill(self, vocab, universe, rels, funs) -> "FiniteStructure":
         self.vocab = vocab
         self.universe = universe
-        self._relations = rels
+        self.relations = rels
         self._functions = funs
         self._key = (
             vocab.key,
@@ -96,7 +102,7 @@ class FiniteStructure:
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         try:
-            return self._relations[name]
+            return self.relations[name]
         except KeyError:
             raise SignatureError(f"unknown relation symbol {name!r}") from None
 
@@ -179,7 +185,7 @@ def _structure(vocab: Vocabulary, universe: frozenset[int], rels, funs) -> Finit
 def _induced(s: FiniteStructure, subset: frozenset[int]) -> FiniteStructure:
     """The substructure of s on subset, a closed subset of its universe, unchecked."""
     inside = subset.issuperset
-    rels = {n: frozenset(filter(inside, ts)) for n, ts in s._relations.items()}
+    rels = {n: frozenset(filter(inside, ts)) for n, ts in s.relations.items()}
     funs = {n: {a: v for a, v in f.items() if inside(a)} for n, f in s._functions.items()}
     return _structure(s.vocab, subset, rels, funs)
 
@@ -196,25 +202,13 @@ def decorated(base: FiniteStructure, subsets: Iterable[Iterable[int]] = ()) -> D
     return DecoratedStructure(base, tuple(frozenset(s) for s in subsets))
 
 
-def decorated_part(s: FiniteStructure, subset: frozenset[int], subsets: tuple):
-    """The part of s on subset decorated by subsets, or None when subset is not closed in s.
-
-    subset must be a frozenset inside s's universe, and subsets a tuple of
-    frozensets inside subset, as the sets a formula sweeps from s are; they
-    are not checked again.
-    """
-    if not s.is_closed_subset(subset):
-        return None
-    return _decorated(_induced(s, subset), subsets)
-
-
 def reduct(s: FiniteStructure, tau0: Vocabulary) -> FiniteStructure:
     """Forget the symbols outside tau0; tau0 must be a sub-vocabulary."""
     if not tau0.is_subvocabulary_of(s.vocab):
         raise SignatureError("reduct target is not a sub-vocabulary")
     if tau0 == s.vocab:
         return s
-    rels = {n: s._relations[n] for n in tau0.relation_names()}
+    rels = {n: s.relations[n] for n in tau0.relation_names()}
     funs = {n: s._functions[n] for n in tau0.function_names()}
     return _structure(tau0, s.universe, rels, funs)
 
@@ -224,12 +218,12 @@ def expand(s: FiniteStructure, tau: Vocabulary, tables: Mapping) -> FiniteStruct
 
     The tables are taken as given, as for every structure the package derives.
     """
-    added = {*tau.relation_names(), *tau.function_names()} - s._relations.keys()
+    added = {*tau.relation_names(), *tau.function_names()} - s.relations.keys()
     added -= s._functions.keys()
     if not s.vocab.is_subvocabulary_of(tau) or tables.keys() != added:
         raise SignatureError("an expansion needs a wider vocabulary and a table per added symbol")
     rels = {
-        n: frozenset(tables[n]) if n in added else s._relations[n] for n in tau.relation_names()
+        n: frozenset(tables[n]) if n in added else s.relations[n] for n in tau.relation_names()
     }
     funs = {n: tables[n] if n in added else s._functions[n] for n in tau.function_names()}
     return _structure(tau, s.universe, rels, funs)
@@ -384,6 +378,15 @@ def _least_labelling(groups, m: int) -> list[int]:
     return best_lab
 
 
+def _check_labelling_size(m: int) -> None:
+    if m > CANONICAL_SIZE_CAP:
+        raise CapacityError(
+            f"canonical labeling caps at size {CANONICAL_SIZE_CAP}, got {m}",
+            count=m,
+            limit=CANONICAL_SIZE_CAP,
+        )
+
+
 def _canonical_rows(groups, m: int):
     """Each group's rows under a least labelling of the points 0..m-1, as frozensets, and
     the labelling: the one _least_labelling reaches for groups, the rows of each symbol
@@ -394,12 +397,7 @@ def _canonical_rows(groups, m: int):
     tables, one per symbol, so rows of different symbols are never merged.
     Sizes beyond CANONICAL_SIZE_CAP raise CapacityError.
     """
-    if m > CANONICAL_SIZE_CAP:
-        raise CapacityError(
-            f"canonical labeling caps at size {CANONICAL_SIZE_CAP}, got {m}",
-            count=m,
-            limit=CANONICAL_SIZE_CAP,
-        )
+    _check_labelling_size(m)
     perm = _least_labelling(groups, m) if m > 1 else list(range(m))
     label = perm.__getitem__
     return tuple(frozenset([tuple(map(label, row)) for row in rows]) for rows in groups), perm
@@ -442,6 +440,65 @@ def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tup
     subsets = tuple(frozenset([c for (c,) in rows]) for rows in canon_rows[len(rels) + len(funs):])
     canon = _decorated(_structure(vocab, frozenset(range(m)), rels, funs), subsets)
     return canon, tuple(perm)
+
+
+class MatchTarget:
+    """A decorated structure as induces_copy compares parts with it: its size,
+    each relation's and subset's row count, its functions' arities and its
+    canonical rows, None past CANONICAL_SIZE_CAP, where no part of its size
+    can be labelled.  Hashed by identity.
+    """
+
+    __slots__ = ("size", "relations", "functions", "side_counts", "rows", "__weakref__")
+
+    def __init__(self, target: DecoratedStructure):
+        base = target.base
+        vocab, m = base.vocab, base.size
+        groups = _labelling_rows(base, target.subsets)
+        counts = tuple(map(len, groups))
+        self.size = m
+        self.relations = tuple(zip(vocab.relation_names(), counts))
+        self.functions = tuple((n, vocab.fun_arity(n)) for n in vocab.function_names())
+        self.side_counts = counts[len(self.relations) + len(self.functions):]
+        self.rows = None if m > CANONICAL_SIZE_CAP else _canonical_rows(groups, m)[0]
+
+
+def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides: tuple) -> bool:
+    """Whether main, decorated by sides, induces a copy of the target in n.
+
+    The target's vocabulary must be a sub-vocabulary of n's, main a frozenset
+    inside n's universe and sides a tuple of frozensets, as a formula's sweeps
+    give them; they are not checked.  Only n's tables of the target's symbols
+    are read, and nothing is built.  In turn: main's size and the sides'
+    containment in main; main's closure under the target's functions; past
+    CANONICAL_SIZE_CAP, CapacityError; the sides' sizes and each relation's
+    row count inside main.  Only a part that passes them all is labelled, by
+    _canonical_rows, and the labelling memo is not touched.
+    """
+    m = target.size
+    if len(main) != m or not all(side <= main for side in sides):
+        return False
+    graphs = []
+    for name, arity in target.functions:
+        table = n._functions[name]
+        graph = [(*args, table[args]) for args in itertools.product(main, repeat=arity)]
+        if not main.issuperset([row[-1] for row in graph]):
+            return False
+        graphs.append(graph)
+    _check_labelling_size(m)
+    if tuple(map(len, sides)) != target.side_counts:
+        return False
+    inside = main.issuperset
+    parts = []
+    for name, count in target.relations:
+        rows = list(filter(inside, n.relations[name]))
+        if len(rows) != count:
+            return False
+        parts.append(rows)
+    index = {e: i for i, e in enumerate(main)}.__getitem__
+    groups = [[tuple(map(index, row)) for row in rows] for rows in (*parts, *graphs)]
+    groups += [[(index(e),) for e in side] for side in sides]
+    return _canonical_rows(groups, m)[0] == target.rows
 
 
 def normalize(x):
@@ -625,8 +682,8 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
             spaces.append(space)
         seen = {}
         for rep in level:
-            base = _point_invariants(rep._relations, fields, k)
-            rep_rows = [list(rep._relations[n]) for n in names]
+            base = _point_invariants(rep.relations, fields, k)
+            rep_rows = [list(rep.relations[n]) for n in names]
             for combo in itertools.product(*spaces):
                 budget += 1
                 if budget > max_raw:

@@ -109,6 +109,64 @@ def test_package_modules_import_no_private_names():
     assert offenders == {}
 
 
+TABLE_FIELDS = ("_relations", "_functions")
+
+
+def table_field_reads(source: str) -> list[str]:
+    """Reads of `._relations` or `._functions`, as attributes or in generated
+    source text, outside a class whose `__slots__` declares the field."""
+    tree = ast.parse(source)
+    owned = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        declared = {
+            c.value
+            for stmt in cls.body
+            if isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+            for c in ast.walk(stmt.value)
+            if isinstance(c, ast.Constant)
+        }
+        owned |= {
+            id(node)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and node.attr in declared
+        }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in TABLE_FIELDS and id(node) not in owned:
+            reads.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads += [f"{node.lineno}: {m}" for m in re.findall(r"\.(?:_relations|_functions)\b", node.value)]
+    return sorted(reads)
+
+
+def test_lint_flags_table_field_reads_outside_their_class():
+    source = (
+        "class Table:\n"
+        "    __slots__ = ('_relations',)\n"
+        "    def rows(self, other):\n        return self._relations, other._relations\n"
+        "def peek(s):\n    return s._functions\n"
+        "def emit():\n    return 'R = n._relations'\n"
+        "def fine(s):\n    return s.relations, '_relations'\n"
+    )
+    assert table_field_reads(source) == ["6: ._functions", "8: ._relations"]
+
+
+def test_only_structures_reads_structure_tables():
+    """A structure's table layout belongs to `structures.py`; `vocab.py`'s
+    Vocabulary reads only its own fields of the same names."""
+    offenders = {
+        path.name: reads
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "structures.py"
+        for reads in [table_field_reads(path.read_text(encoding="utf-8"))]
+        if reads
+    }
+    assert offenders == {}
+
+
 def defined_names(source: str) -> list[str]:
     """Top-level functions and classes, and non-dunder methods as Class.method."""
     out = []
