@@ -162,7 +162,8 @@ def test_equal_row_counts_are_labelled_and_distinct_counts_are_not(monkeypatch):
     star_t, path_t, one_t = (_target(t) for t in (star, path, one))
     labelled.clear()
     main = frozenset({0, 1, 2})
-    assert (induces := structures.induces_copy)(n, star_t, main, ()) is False
+    induces = structures.induces_copy
+    assert induces(n, star_t, main, ()) is False
     assert induces(n, path_t, main, ()) is True
     assert labelled == [3, 3]
     assert induces(n, one_t, main, ()) is False
