@@ -292,6 +292,8 @@ def verify_presentation(
     cataloged target is independently re-verified to be a genuine expanded
     member; (4) on induced expanded substructures that satisfy the theory,
     starred elementarity coincides with the class order of the reducts.
+    Checks 1, 2 and 4 share one pass per member, which decides each
+    (expanded part, expanded member) elementarity verdict once.
     """
     report = VerificationReport(
         command=f"verify_presentation {spec.name}",
@@ -325,14 +327,34 @@ def verify_presentation(
         return report
 
     emap = functorial_expansion(spec, caps)
-
-    bad1 = []
+    fragment = subformula_closure(emitted)
+    bad1, bad2, bad4 = [], [], []
+    pairs2 = pairs4 = 0
     for n in members:
         n_plus = emap.expand(n)
         for s in emitted.sentences:
             if not eval_formula(n_plus, s, {}, UNBOUNDED):
                 bad1.append((n, s))
                 break
+        strong = set(sl.strong(n))
+        for part in sl.parts(n):
+            # functorial_expansion checked that emap.expand(m) is induced in n⁺
+            # for each strong part m, so a is that same kept object for check 2
+            a = sl.expanded_part(emap, n, part)
+            in_order = part in strong
+            satisfies = models(a, emitted, UNBOUNDED)
+            if not (in_order or satisfies):
+                continue
+            elementary = bool(elem_F_star(a, n_plus, fragment, UNBOUNDED))
+            if in_order:
+                pairs2 += 1
+                if not elementary:
+                    bad2.append((part, n))
+            if satisfies:
+                pairs4 += 1
+                if elementary != in_order:
+                    bad4.append((a, n, elementary, in_order))
+
     report.add(
         "models-satisfy-theory",
         FAIL if bad1 else PASS,
@@ -343,17 +365,6 @@ def verify_presentation(
             for w in (structure_witness("member", n), formula_witness("sentence", s))
         ],
     )
-
-    fragment = subformula_closure(emitted)
-    bad2 = []
-    pairs2 = 0
-    for n in members:
-        n_plus = emap.expand(n)
-        for m in sl.strong(n):
-            pairs2 += 1
-            m_plus = emap.expand(m)
-            if not elem_F_star(m_plus, n_plus, fragment, UNBOUNDED):
-                bad2.append((m, n))
     report.add(
         "order-preserved",
         FAIL if bad2 else PASS,
@@ -431,21 +442,6 @@ def verify_presentation(
             "re-verified as a genuine expanded member"
         ),
     )
-
-    bad4 = []
-    pairs4 = 0
-    for n in members:
-        n_plus = emap.expand(n)
-        strong = set(sl.strong(n))
-        for part in sl.parts(n):
-            a = sl.expanded_part(emap, n, part)
-            if not models(a, emitted, UNBOUNDED):
-                continue
-            pairs4 += 1
-            lhs = bool(elem_F_star(a, n_plus, fragment, UNBOUNDED))
-            rhs = part in strong
-            if lhs != rhs:
-                bad4.append((a, n, lhs, rhs))
     report.add(
         "order-reflected",
         FAIL if bad4 else PASS,

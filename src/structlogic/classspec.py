@@ -12,7 +12,7 @@ import itertools
 import os
 from functools import cached_property
 
-from . import sexpr
+from . import formats, sexpr
 from .errors import CapacityError, ParseError, ShapeError
 from .records import field, record
 from .reports import (
@@ -32,7 +32,6 @@ from .structures import (
     relabel,
 )
 from .syntax import Fragment, KappaThreshold, Theory, UNBOUNDED, subformula_closure
-from .formats import structure_from_node, structure_to_node, theory_from_node, theory_to_node
 from .vocab import EMPTY_VOCABULARY
 
 
@@ -313,9 +312,9 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
             name = str(entry[1])
         elif kind == "theory":
             if len(entry) == 2 and isinstance(entry[1], str):
-                theory = _load_theory(os.path.join(base_dir, entry[1]))
+                theory = formats.parse_theory(formats.read_text(os.path.join(base_dir, entry[1])))
             else:
-                theory = theory_from_node(entry)
+                theory = formats.theory_from_node(entry)
         elif kind == "kappa":
             if len(entry) != 2:
                 raise ParseError("expected (kappa unbounded|k)")
@@ -334,9 +333,10 @@ def class_spec_from_node(node, base_dir: str = ".", name_hint: str = "class"):
             reps = []
             for ref in entry[1:]:
                 if isinstance(ref, str):
-                    reps.append(_load_structure(os.path.join(base_dir, ref)))
+                    path = os.path.join(base_dir, ref)
+                    reps.append(formats.parse_structure(formats.read_text(path)))
                 else:
-                    reps.append(structure_from_node(ref))
+                    reps.append(formats.structure_from_node(ref))
         elif kind == "order":
             for pair in entry[1:]:
                 if not (isinstance(pair, list) and len(pair) == 2):
@@ -370,25 +370,13 @@ def parse_class_spec(text: str, base_dir: str = ".", name_hint: str = "class"):
 
 
 def load_class_spec(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     stem = os.path.splitext(os.path.basename(path))[0]
-    return parse_class_spec(text, os.path.dirname(path) or ".", stem)
-
-
-def _load_theory(path: str) -> Theory:
-    with open(path, encoding="utf-8") as fh:
-        return theory_from_node(sexpr.parse_one(fh.read()))
-
-
-def _load_structure(path: str) -> FiniteStructure:
-    with open(path, encoding="utf-8") as fh:
-        return structure_from_node(sexpr.parse_one(fh.read()))
+    return parse_class_spec(formats.read_text(path), os.path.dirname(path) or ".", stem)
 
 
 def class_spec_to_node(spec: ModelClassSpec) -> list:
     if isinstance(spec, DefinedClass):
-        out: list = ["class", ["name", spec.name], theory_to_node(spec.theory)]
+        out: list = ["class", ["name", spec.name], formats.theory_to_node(spec.theory)]
         out.append(
             ["kappa", "unbounded" if spec.kappa.is_unbounded else spec.kappa.bound]
         )
@@ -397,7 +385,7 @@ def class_spec_to_node(spec: ModelClassSpec) -> list:
             out.append(["hereditary"])
         return out
     out = ["class", ["name", spec.name]]
-    out.append(["members", *[structure_to_node(r) for r in spec.reps]])
+    out.append(["members", *[formats.structure_to_node(r) for r in spec.reps]])
     pairs = sorted((i, j) for i, j in spec.order if i != j)
     out.append(["order", *[[i, j] for i, j in pairs]])
     return out

@@ -86,11 +86,6 @@ def _parse_subset(text: str) -> frozenset[int]:
         raise ShapeError(f"subset is a comma-separated element list, not {text!r}")
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _require_qstruct(phi) -> QStruct:
     if not isinstance(phi, QStruct):
         raise ShapeError("this mode needs a structure-quantifier formula at top level")
@@ -122,8 +117,8 @@ def _subformula_walk(phi):
 def cli_eval(args) -> int:
     from .semantics import eval as eval_formula
 
-    structure = formats.parse_structure(_read(args.structure))
-    phi = formats.parse_formula(_read(args.formula))
+    structure = formats.parse_structure(formats.read_text(args.structure))
+    phi = formats.parse_formula(formats.read_text(args.formula))
     env = _parse_assignment(args.assign)
     kappa = _parse_kappa(args.kappa)
     if args.trace:
@@ -141,8 +136,8 @@ def cli_eval(args) -> int:
 def cli_models(args) -> int:
     from .semantics import enumerate_models
 
-    theory = formats.parse_theory(_read(args.theory))
-    vocab = formats.parse_vocab(_read(args.vocab)) if args.vocab else theory.vocabulary
+    theory = formats.parse_theory(formats.read_text(args.theory))
+    vocab = formats.parse_vocab(formats.read_text(args.vocab)) if args.vocab else theory.vocabulary
     kappa = _parse_kappa(args.kappa)
     count = 0
     for m in enumerate_models(theory, vocab, args.max_size, kappa, args.up_to_iso):
@@ -155,9 +150,9 @@ def cli_models(args) -> int:
 def cli_elem(args) -> int:
     from .semantics import elem_F, elem_F_star
 
-    n1 = formats.parse_structure(_read(args.struct1))
-    n2 = formats.parse_structure(_read(args.struct2))
-    theory = formats.parse_theory(_read(args.theory))
+    n1 = formats.parse_structure(formats.read_text(args.struct1))
+    n2 = formats.parse_structure(formats.read_text(args.struct2))
+    theory = formats.parse_theory(formats.read_text(args.theory))
     fragment = subformula_closure(theory)
     kappa = _parse_kappa(args.kappa)
     check = elem_F_star if args.star else elem_F
@@ -179,7 +174,7 @@ def cli_closure(args) -> int:
     from .classspec import load_class_spec
     from .closure import cl
 
-    structure = formats.parse_structure(_read(args.structure))
+    structure = formats.parse_structure(formats.read_text(args.structure))
     subset = _parse_subset(args.subset)
     spec = load_class_spec(args.spec)
     caps = args.caps
@@ -271,7 +266,7 @@ def cli_translate(args) -> int:
         univ_gen_rewrite,
     )
 
-    phi = formats.parse_formula(_read(args.formula))
+    phi = formats.parse_formula(formats.read_text(args.formula))
     kappa = _parse_kappa(args.kappa)
     if args.mode == "univ-gen":
         out = univ_gen_rewrite(phi)
@@ -279,7 +274,7 @@ def cli_translate(args) -> int:
         if not args.vocab:
             raise ShapeError("--vocab names the wider vocabulary for this mode")
         out = eliminate_subvocab(
-            _require_qstruct(phi), formats.parse_vocab(_read(args.vocab))
+            _require_qstruct(phi), formats.parse_vocab(formats.read_text(args.vocab))
         )
     elif args.mode == "counting":
         out = qstruct_to_counting(_require_qstruct(phi), kappa)

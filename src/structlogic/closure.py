@@ -254,15 +254,26 @@ def galois_equiv(
     return sl.anchored_type(p.model, p.anchor) == sl.anchored_type(q.model, q.anchor)
 
 
+# Each anchored tuple costs about 0.1 ms; the largest emission sweep of the
+# shipped classes up to size cap 5 (triangle-free, 65,464 tuples) fits.
+ANCHOR_LIMIT = 1 << 17
+
+
 def enumerate_DK(
     spec: ModelClassSpec, max_tuple_len: int = 2, caps: Caps = Caps()
 ) -> list[PointedModel]:
     """One representative per anchored-isomorphism type of closures of tuples.
 
     Each representative is shrunk to its own closure and renamed canonically;
-    output is sorted by anchor length, then by canonical key.
+    output is sorted by anchor length, then by canonical key.  More than
+    ANCHOR_LIMIT anchored tuples raise CapacityError before the sweep.
     """
     sl = class_slice(spec, caps)
+    count = sum(n.size**length for n in sl.members for length in range(max_tuple_len + 1))
+    if count > ANCHOR_LIMIT:
+        raise CapacityError(
+            f"{count} anchored tuples exceed the cap", count=count, limit=ANCHOR_LIMIT
+        )
     seen: dict = {}
     for n in sl.members:
         elems = sorted(n.universe)

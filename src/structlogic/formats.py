@@ -32,31 +32,27 @@ from .vocab import Vocabulary
 _FORMULA_HEADS = {"rel", "=", "not", "and", "or", "exists", "forall", "qstruct"}
 
 
-def _fail(msg: str) -> ParseError:
-    return ParseError(msg)
-
-
 def _expect_list(node, what: str) -> list:
     if not isinstance(node, list):
-        raise _fail(f"expected a list for {what}, found {sexpr.write(node)}")
+        raise ParseError(f"expected a list for {what}, found {sexpr.write(node)}")
     return node
 
 
 def _expect_symbol(node, what: str) -> str:
     if not isinstance(node, str):
-        raise _fail(f"expected a symbol for {what}, found {sexpr.write(node)}")
+        raise ParseError(f"expected a symbol for {what}, found {sexpr.write(node)}")
     return node
 
 
 def _expect_int(node, what: str) -> int:
     if not isinstance(node, int):
-        raise _fail(f"expected an integer for {what}, found {sexpr.write(node)}")
+        raise ParseError(f"expected an integer for {what}, found {sexpr.write(node)}")
     return node
 
 
 def _head(node: list) -> str:
     if not node or not isinstance(node[0], str):
-        raise _fail(f"form has no head symbol: {sexpr.write(node)}")
+        raise ParseError(f"form has no head symbol: {sexpr.write(node)}")
     return node[0]
 
 
@@ -67,7 +63,7 @@ def _head(node: list) -> str:
 def vocab_from_node(node) -> Vocabulary:
     items = _expect_list(node, "vocabulary")
     if _head(items) != "vocab":
-        raise _fail(f"expected (vocab ...), found {sexpr.write(node)}")
+        raise ParseError(f"expected (vocab ...), found {sexpr.write(node)}")
     relations: dict[str, int] = {}
     functions: dict[str, int] = {}
     for entry in items[1:]:
@@ -75,22 +71,22 @@ def vocab_from_node(node) -> Vocabulary:
         kind = _head(entry)
         if kind == "rel":
             if len(entry) != 3:
-                raise _fail(f"expected (rel name arity): {sexpr.write(entry)}")
+                raise ParseError(f"expected (rel name arity): {sexpr.write(entry)}")
             relations[_expect_symbol(entry[1], "relation name")] = _expect_int(
                 entry[2], "relation arity"
             )
         elif kind == "fun":
             if len(entry) != 3:
-                raise _fail(f"expected (fun name arity): {sexpr.write(entry)}")
+                raise ParseError(f"expected (fun name arity): {sexpr.write(entry)}")
             functions[_expect_symbol(entry[1], "function name")] = _expect_int(
                 entry[2], "function arity"
             )
         elif kind == "const":
             if len(entry) != 2:
-                raise _fail(f"expected (const name): {sexpr.write(entry)}")
+                raise ParseError(f"expected (const name): {sexpr.write(entry)}")
             functions[_expect_symbol(entry[1], "constant name")] = 0
         else:
-            raise _fail(f"unknown vocabulary entry {kind!r}")
+            raise ParseError(f"unknown vocabulary entry {kind!r}")
     return Vocabulary(relations, functions)
 
 
@@ -113,7 +109,7 @@ def vocab_to_node(v: Vocabulary) -> list:
 def structure_from_node(node) -> FiniteStructure:
     items = _expect_list(node, "structure")
     if _head(items) != "structure":
-        raise _fail(f"expected (structure ...), found {sexpr.write(node)[:80]}")
+        raise ParseError(f"expected (structure ...), found {sexpr.write(node)[:80]}")
     vocab: Vocabulary | None = None
     size: int | None = None
     universe: frozenset[int] | None = None
@@ -126,17 +122,17 @@ def structure_from_node(node) -> FiniteStructure:
             vocab = vocab_from_node(entry)
         elif kind == "universe":
             if len(entry) != 2:
-                raise _fail(f"expected (universe n) or (universe (e ...)): {sexpr.write(entry)}")
+                raise ParseError(f"expected (universe n) or (universe (e ...)): {sexpr.write(entry)}")
             if isinstance(entry[1], list):
                 # explicit element list, for non-contiguous universes
                 universe = frozenset(_expect_int(x, "element") for x in entry[1])
             else:
                 size = _expect_int(entry[1], "universe size")
                 if size < 0:
-                    raise _fail(f"universe size must be at least 0, got {size}")
+                    raise ParseError(f"universe size must be at least 0, got {size}")
         elif kind == "rel":
             if len(entry) < 2:
-                raise _fail(f"expected (rel name row ...): {sexpr.write(entry)}")
+                raise ParseError(f"expected (rel name row ...): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "relation name")
             rows = relations.setdefault(name, set())
             for row in entry[2:]:
@@ -144,26 +140,26 @@ def structure_from_node(node) -> FiniteStructure:
                 rows.add(tuple(_expect_int(x, "element") for x in row))
         elif kind == "fun":
             if len(entry) < 2:
-                raise _fail(f"expected (fun name row ...): {sexpr.write(entry)}")
+                raise ParseError(f"expected (fun name row ...): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "function name")
             table = functions.setdefault(name, {})
             for row in entry[2:]:
                 row = _expect_list(row, "function row")
                 if not row:
-                    raise _fail("function row needs at least a value")
+                    raise ParseError("function row needs at least a value")
                 cells = tuple(_expect_int(x, "element") for x in row)
                 table[cells[:-1]] = cells[-1]
         elif kind == "const":
             if len(entry) != 3:
-                raise _fail(f"expected (const name value): {sexpr.write(entry)}")
+                raise ParseError(f"expected (const name value): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "constant name")
             functions.setdefault(name, {})[()] = _expect_int(entry[2], "constant value")
         else:
-            raise _fail(f"unknown structure entry {kind!r}")
+            raise ParseError(f"unknown structure entry {kind!r}")
     if vocab is None:
-        raise _fail("structure is missing its (vocab ...) entry")
+        raise ParseError("structure is missing its (vocab ...) entry")
     if size is None and universe is None:
-        raise _fail("structure is missing its (universe ...) entry")
+        raise ParseError("structure is missing its (universe ...) entry")
     return FiniteStructure(
         vocab, universe if universe is not None else range(size), relations, functions
     )
@@ -188,24 +184,28 @@ def structure_to_node(s: FiniteStructure) -> list:
     return out
 
 
+def _subsets(entries) -> list[frozenset[int]]:
+    """The element lists of a (subsets ...) form, after its head."""
+    return [
+        frozenset(_expect_int(x, "element") for x in _expect_list(entry, "subset"))
+        for entry in entries
+    ]
+
+
 def decorated_from_node(node) -> DecoratedStructure:
     items = _expect_list(node, "decorated structure")
     head = _head(items)
     if head == "structure":
         return decorated(structure_from_node(items), ())
     if head != "decorated":
-        raise _fail(f"expected (decorated ...) or (structure ...), found {head!r}")
+        raise ParseError(f"expected (decorated ...) or (structure ...), found {head!r}")
     if len(items) != 3:
-        raise _fail("expected (decorated <structure> (subsets ...))")
+        raise ParseError("expected (decorated <structure> (subsets ...))")
     base = structure_from_node(items[1])
     sub = _expect_list(items[2], "subsets")
     if _head(sub) != "subsets":
-        raise _fail(f"expected (subsets ...), found {sexpr.write(items[2])}")
-    subsets = []
-    for entry in sub[1:]:
-        entry = _expect_list(entry, "subset")
-        subsets.append(frozenset(_expect_int(x, "element") for x in entry))
-    return decorated(base, subsets)
+        raise ParseError(f"expected (subsets ...), found {sexpr.write(items[2])}")
+    return decorated(base, _subsets(sub[1:]))
 
 
 def decorated_to_node(d: DecoratedStructure) -> list:
@@ -228,9 +228,9 @@ def term_from_node(node) -> Term:
     if isinstance(node, list):
         head = _head(node)
         if head in _FORMULA_HEADS:
-            raise _fail(f"formula head {head!r} used in term position")
+            raise ParseError(f"formula head {head!r} used in term position")
         return App(head, tuple(term_from_node(a) for a in node[1:]))
-    raise _fail(f"expected a term, found {sexpr.write(node)}")
+    raise ParseError(f"expected a term, found {sexpr.write(node)}")
 
 
 def term_to_node(t: Term):
@@ -244,27 +244,27 @@ def formula_from_node(node) -> Formula:
     head = _head(items)
     if head == "rel":
         if len(items) < 2:
-            raise _fail("expected (rel name terms...)")
+            raise ParseError("expected (rel name terms...)")
         return Atomic(
             _expect_symbol(items[1], "relation name"),
             tuple(term_from_node(t) for t in items[2:]),
         )
     if head == "=":
         if len(items) != 3:
-            raise _fail("expected (= t1 t2)")
+            raise ParseError("expected (= t1 t2)")
         return Equal(term_from_node(items[1]), term_from_node(items[2]))
     if head == "not":
         if len(items) != 2:
-            raise _fail("expected (not f)")
+            raise ParseError("expected (not f)")
         return Not(formula_from_node(items[1]))
     if head in ("and", "or"):
         parts = tuple(formula_from_node(f) for f in items[1:])
         if not parts:
-            raise _fail(f"({head}) needs at least one part")
+            raise ParseError(f"({head}) needs at least one part")
         return And(parts) if head == "and" else Or(parts)
     if head in ("exists", "forall"):
         if len(items) != 3:
-            raise _fail(f"expected ({head} x f)")
+            raise ParseError(f"expected ({head} x f)")
         var = _expect_symbol(items[1], "bound variable")
         body = formula_from_node(items[2])
         return Exists(var, body) if head == "exists" else Forall(var, body)
@@ -272,17 +272,15 @@ def formula_from_node(node) -> Formula:
         # (qstruct <structure> [(subsets (i...)...)] x (y...) phi (psi...))
         rest = items[1:]
         if not rest:
-            raise _fail("expected (qstruct <structure> ... )")
+            raise ParseError("expected (qstruct <structure> ... )")
         base = structure_from_node(rest[0])
         rest = rest[1:]
         subsets: list[frozenset[int]] = []
         if rest and isinstance(rest[0], list) and rest[0] and rest[0][0] == "subsets":
-            for entry in rest[0][1:]:
-                entry = _expect_list(entry, "subset")
-                subsets.append(frozenset(_expect_int(x, "element") for x in entry))
+            subsets = _subsets(rest[0][1:])
             rest = rest[1:]
         if len(rest) != 4:
-            raise _fail("expected (qstruct <structure> [(subsets ...)] x (y...) phi (psi...))")
+            raise ParseError("expected (qstruct <structure> [(subsets ...)] x (y...) phi (psi...))")
         var = _expect_symbol(rest[0], "bound variable")
         yvars = tuple(
             _expect_symbol(y, "side variable")
@@ -293,9 +291,9 @@ def formula_from_node(node) -> Formula:
             formula_from_node(p) for p in _expect_list(rest[3], "side formulas")
         )
         if len(psis) != len(yvars):
-            raise _fail(f"{len(yvars)} side variables but {len(psis)} side formulas")
+            raise ParseError(f"{len(yvars)} side variables but {len(psis)} side formulas")
         return qstruct(decorated(base, subsets), var, yvars, phi, psis)
-    raise _fail(f"unknown formula head {head!r}")
+    raise ParseError(f"unknown formula head {head!r}")
 
 
 def formula_to_node(phi: Formula):
@@ -336,7 +334,7 @@ def formula_to_node(phi: Formula):
 def theory_from_node(node) -> Theory:
     items = _expect_list(node, "theory")
     if _head(items) != "theory":
-        raise _fail(f"expected (theory ...), found {sexpr.write(node)[:80]}")
+        raise ParseError(f"expected (theory ...), found {sexpr.write(node)[:80]}")
     name: str | None = None
     vocab: Vocabulary | None = None
     sentences: list[Formula] = []
@@ -345,20 +343,20 @@ def theory_from_node(node) -> Theory:
         kind = _head(entry)
         if kind == "name":
             if len(entry) != 2:
-                raise _fail(f"expected (name n): {sexpr.write(entry)}")
+                raise ParseError(f"expected (name n): {sexpr.write(entry)}")
             name = _expect_symbol(entry[1], "theory name")
         elif kind == "vocab":
             vocab = vocab_from_node(entry)
         elif kind == "sentence":
             if len(entry) != 2:
-                raise _fail("expected (sentence f)")
+                raise ParseError("expected (sentence f)")
             sentences.append(formula_from_node(entry[1]))
         else:
-            raise _fail(f"unknown theory entry {kind!r}")
+            raise ParseError(f"unknown theory entry {kind!r}")
     if name is None:
-        raise _fail("theory is missing its (name ...) entry")
+        raise ParseError("theory is missing its (name ...) entry")
     if vocab is None:
-        raise _fail("theory is missing its (vocab ...) entry")
+        raise ParseError("theory is missing its (vocab ...) entry")
     return Theory(name, vocab, tuple(sentences))
 
 
@@ -373,6 +371,12 @@ def theory_to_node(t: Theory) -> list:
 
 # ---------------------------------------------------------------------------
 # convenience string front ends
+
+
+def read_text(path: str) -> str:
+    """The text of an input file, read as UTF-8."""
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def parse_vocab(text: str) -> Vocabulary:

@@ -472,8 +472,9 @@ def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides
     are read, and nothing is built.  In turn: main's size and the sides'
     containment in main; main's closure under the target's functions; past
     CANONICAL_SIZE_CAP, CapacityError; the sides' sizes and each relation's
-    row count inside main.  Only a part that passes them all is labelled, by
-    _canonical_rows, and the labelling memo is not touched.
+    row count inside main.  A part that passes them all, and whose rows indexed
+    in main's order are not already the target's canonical rows, is labelled
+    by _canonical_rows; the labelling memo is not touched.
     """
     m = target.size
     if len(main) != m or not all(side <= main for side in sides):
@@ -498,7 +499,8 @@ def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides
     index = {e: i for i, e in enumerate(main)}.__getitem__
     groups = [[tuple(map(index, row)) for row in rows] for rows in (*parts, *graphs)]
     groups += [[(index(e),) for e in side] for side in sides]
-    return _canonical_rows(groups, m)[0] == target.rows
+    rows = tuple(map(frozenset, groups))
+    return rows == target.rows or _canonical_rows(groups, m)[0] == target.rows
 
 
 def normalize(x):

@@ -319,6 +319,14 @@ def test_dk_counts_line(capsys):
     assert sum(1 for l in lines if l.startswith("dk len ")) == 4
 
 
+def test_dk_past_the_anchored_tuple_cap_exits_2_before_the_sweep(capsys):
+    # about 3.7e8 anchored tuples: the sweep would run for hours
+    assert main(["dk", LIN, "--caps", "4", "--tuple-len", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 365121177 anchored tuples exceed the cap\n"
+
+
 def test_timing_flag_leaves_stdout_alone(chain3, lt_formula, capsys):
     assert main(["eval", chain3, lt_formula, "--assign", "x=0,y=1"]) == 0
     plain = capsys.readouterr()

@@ -150,12 +150,13 @@ def test_matches_agrees_with_the_part_building_reference(case):
 
 def test_equal_row_counts_are_labelled_and_distinct_counts_are_not(monkeypatch):
     """A path and an out-star share their row count: only labelling tells them
-    apart.  A part with a different row count is rejected unlabelled."""
+    apart.  A part with a different row count is rejected unlabelled.  The
+    cycle runs downwards, so no part is already in canonical layout."""
     labelled = []
     rows = structures._canonical_rows
     monkeypatch.setattr(structures, "_canonical_rows", lambda g, m: labelled.append(m) or rows(g, m))
     vocab = Vocabulary({"R": 2})
-    n = FiniteStructure(vocab, range(4), {"R": {(0, 1), (1, 2), (2, 3), (3, 0)}})
+    n = FiniteStructure(vocab, range(4), {"R": {(1, 0), (2, 1), (3, 2), (0, 3)}})
     star = decorated(FiniteStructure(vocab, range(3), {"R": {(0, 1), (0, 2)}}))
     path = decorated(FiniteStructure(vocab, range(3), {"R": {(0, 1), (1, 2)}}))
     one = decorated(FiniteStructure(vocab, range(3), {"R": {(0, 1)}}))
@@ -171,6 +172,40 @@ def test_equal_row_counts_are_labelled_and_distinct_counts_are_not(monkeypatch):
     assert labelled == [3, 3]
     for t in (star, path, one):
         assert reference_matches(n, t, main, ()) == induces(n, _target(t), main, ())
+
+
+@pytest.mark.parametrize("vocab", VOCABS, ids=str)
+def test_a_part_in_canonical_layout_matches_without_a_search(vocab, monkeypatch):
+    """A canonical copy matches its own target with no label search: its rows,
+    indexed in main's order, are the target's canonical rows.  A relabelled
+    copy of it is searched for, and found."""
+    rng = random.Random(7)
+    cases = []
+    for size in range(2, 6):
+        elems = range(size)
+        relations = {
+            name: {r for r in product(elems, repeat=vocab.rel_arity(name)) if rng.random() < 0.4}
+            for name in vocab.relation_names()
+        }
+        functions = {
+            name: {args: rng.randrange(size) for args in product(elems, repeat=arity)}
+            for name, arity in vocab.functions.items()
+        }
+        s = FiniteStructure(vocab, elems, relations, functions)
+        canon = normalize(decorated(s, [frozenset(rng.sample(elems, 2))]))
+        ids = dict(zip(range(size), range(size)[::-1]))
+        flipped = (relabel(canon.base, ids), frozenset(ids[e] for e in canon.subsets[0]))
+        cases.append((_target(canon), canon, flipped))
+    labelled = []
+    rows = structures._canonical_rows
+    monkeypatch.setattr(structures, "_canonical_rows", lambda g, m: labelled.append(m) or rows(g, m))
+    for target, canon, _ in cases:
+        main = frozenset(canon.base.universe)
+        assert structures.induces_copy(canon.base, target, main, canon.subsets) is True
+    assert labelled == []
+    for target, _, (base, side) in cases:
+        assert structures.induces_copy(base, target, frozenset(base.universe), (side,)) is True
+    assert labelled
 
 
 def test_past_the_labelling_cap_both_raise_on_a_closed_main_set_only():
