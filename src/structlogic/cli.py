@@ -70,6 +70,8 @@ def _parse_assignment(text: str | None) -> dict[str, int]:
         var, eq, value = piece.partition("=")
         if not eq or not var:
             raise ShapeError(f"--assign entries look like x=0, not {piece!r}")
+        if var in env:
+            raise ShapeError(f"--assign gives {var!r} more than one value")
         try:
             env[var] = int(value)
         except ValueError:

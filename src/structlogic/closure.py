@@ -76,7 +76,8 @@ class ClassSlice:
     first), those of them in the class, those strong in it, the closure of
     each seed, its expansions by closure data and their induced parts; and
     the class members up to the size cap.  A single closure query never
-    enumerates the members.  Equal expanded structures are one object.
+    enumerates the members.  Equal expanded structures, and equal closures,
+    are one object, so they share one memo.
     """
 
     def __init__(self, spec: ModelClassSpec, caps: Caps):
@@ -123,7 +124,7 @@ class ClassSlice:
         def closure():
             universes = [m.universe for m in self.strong(n)]
             inter = n.universe.intersection(*(u for u in universes if a <= u))
-            return ClosureResult(n.induced(inter), inter in universes)
+            return ClosureResult(self._one(n.induced(inter)), inter in universes)
 
         return self._keep(("cl", n, a), closure)
 
@@ -138,8 +139,8 @@ class ClassSlice:
     def expanded(self, expansion, n: FiniteStructure) -> FiniteStructure:
         """expansion.build(self, n), built once per (expansion, n).
 
-        One object per expanded structure lets the evaluator's caches, keyed
-        by structure, match it by identity instead of comparing every row.
+        The evaluator keeps its entries in each structure's own memo, so only
+        one object per expanded structure lets every sweep share them.
         """
         return self._keep(("expanded", expansion, n), lambda: self._one(expansion.build(self, n)))
 
@@ -149,7 +150,7 @@ class ClassSlice:
         """expanded(expansion, n) induced on part's universe, once per (expansion, n, part).
 
         A part equal to a structure expanded before is that same object, so
-        the evaluator's caches match it by identity too.
+        it shares that structure's memo too.
         """
         return self._keep(
             ("expanded-part", expansion, n, part),
@@ -157,7 +158,8 @@ class ClassSlice:
         )
 
     def _one(self, s: FiniteStructure) -> FiniteStructure:
-        """The first structure kept here that equals s, else s itself."""
+        """The first structure kept here that equals s, else s itself: the one
+        object, and so the one memo, of its value in this slice."""
         return self._keep(("structure", s), lambda: s)
 
 

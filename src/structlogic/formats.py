@@ -72,21 +72,22 @@ def vocab_from_node(node) -> Vocabulary:
         if kind == "rel":
             if len(entry) != 3:
                 raise ParseError(f"expected (rel name arity): {sexpr.write(entry)}")
-            relations[_expect_symbol(entry[1], "relation name")] = _expect_int(
-                entry[2], "relation arity"
-            )
+            table, name = relations, _expect_symbol(entry[1], "relation name")
+            arity = _expect_int(entry[2], "relation arity")
         elif kind == "fun":
             if len(entry) != 3:
                 raise ParseError(f"expected (fun name arity): {sexpr.write(entry)}")
-            functions[_expect_symbol(entry[1], "function name")] = _expect_int(
-                entry[2], "function arity"
-            )
+            table, name = functions, _expect_symbol(entry[1], "function name")
+            arity = _expect_int(entry[2], "function arity")
         elif kind == "const":
             if len(entry) != 2:
                 raise ParseError(f"expected (const name): {sexpr.write(entry)}")
-            functions[_expect_symbol(entry[1], "constant name")] = 0
+            table, name, arity = functions, _expect_symbol(entry[1], "constant name"), 0
         else:
             raise ParseError(f"unknown vocabulary entry {kind!r}")
+        if name in relations or name in functions:
+            raise ParseError(f"symbol {name!r} is declared twice in the vocabulary")
+        table[name] = arity
     return Vocabulary(relations, functions)
 
 

@@ -19,15 +19,15 @@ every variable bound by a loop around it in the same function, and which
 holds no structure quantifier, is inlined as a loop over the universe with
 no memo: within one call no loop around it repeats its parameter values.
 Every other Exists/Forall, and every structure quantifier, keeps a sweep of
-the same signature on its node, memoised by `_swept` per structure and
-parameter values, so formulas sharing the node share its entries.  A
-structure quantifier's sweep gives its main and side solution sets, one
-sweep per equal slots tuple, so the disjuncts of a type disjunction share
-one entry.  `_matches` compares them with the target's row counts and
-canonical rows, taken once per equal target when the formula is compiled: it
-reads n's rows of the target's symbols inside the main set, rejects on sizes,
-closure and row counts, and labels only a part that passes, building no
-structure.
+the same signature on its node, memoised by `_swept` in the structure's
+memo per sweep and parameter values, so formulas sharing the node share its
+entries.  A structure quantifier's sweep gives its main and side solution
+sets, one sweep per equal slots tuple, so the disjuncts of a type
+disjunction share one entry.  `_matches` compares them with the target's row
+counts and canonical rows, taken once per equal target when the formula is
+compiled: it reads n's rows of the target's symbols inside the main set,
+rejects on sizes, closure and row counts, and labels only a part that
+passes, building no structure; its verdicts live in the structure's memo.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -344,11 +344,14 @@ def _slot_sweep(slots: tuple):
     return sweep
 
 
-@lru_cache(maxsize=1_000_000)
 def _swept(n: FiniteStructure, sweep, values: tuple):
-    """The sweep, hashed by identity, in n at its parameter values: an
+    """The sweep in n at its parameter values, kept in n's memo: an
     Exists/Forall node's truth value, or a quantifier's main and side sets."""
-    return sweep(n, values)
+    key = sweep, values
+    found = n.memo.get(key)
+    if found is None:
+        found = n.memo[key] = sweep(n, values)
+    return found
 
 
 _TARGETS = WeakValueDictionary()
@@ -365,14 +368,16 @@ def _target(target: DecoratedStructure) -> MatchTarget:
     return found
 
 
-@lru_cache(maxsize=400_000)
 def _matches(n: FiniteStructure, target: MatchTarget, main: frozenset, sides: tuple) -> bool:
-    """Whether main, decorated by sides, induces a copy of the target in n:
-    `induces_copy`, which reads n's rows of the target's symbols, rejects on
-    sizes, closure and row counts, and labels only a part that passes them,
-    building no structure and leaving no labelling-memo entry.  The target
-    is hashed by identity."""
-    return induces_copy(n, target, main, sides)
+    """Whether main, decorated by sides, induces a copy of the target in n, kept
+    in n's memo: `induces_copy`, which reads n's rows of the target's symbols,
+    rejects on sizes, closure and row counts, and labels only a part that
+    passes them, building no structure and leaving no labelling entry."""
+    key = target, main, sides
+    found = n.memo.get(key)
+    if found is None:
+        found = n.memo[key] = induces_copy(n, target, main, sides)
+    return found
 
 
 _RUNTIME = {

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 from math import prod
 from operator import add, attrgetter
 
@@ -26,10 +25,12 @@ class FiniteStructure:
     """A finite structure over a vocabulary.
 
     `relations` maps each relation symbol to its frozenset of rows; read it,
-    never change it.  Function tables stay behind `fun` and `apply`.
+    never change it.  Function tables stay behind `fun` and `apply`.  `memo`
+    keeps what the package computes from the structure (canonical labellings,
+    the evaluator's sweeps and matches), so each entry dies with it.
     """
 
-    __slots__ = ("vocab", "universe", "relations", "_functions", "_key", "_hash")
+    __slots__ = ("vocab", "universe", "relations", "_functions", "_key", "_hash", "memo")
 
     def __init__(
         self,
@@ -85,6 +86,7 @@ class FiniteStructure:
             tuple((n, tuple(sorted(funs[n].items()))) for n in sorted(funs)),
         )
         self._hash = hash(self._key)
+        self.memo = {}
         return self
 
     @property
@@ -419,12 +421,21 @@ def _canonical_tables(vocab: Vocabulary, canon_rows, groups, perm):
     return rels, funs
 
 
-@lru_cache(maxsize=200_000)
 def _canonical_labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
-    """The canonical copy of d and a labelling onto it, memoised for the callers
-    that label one structure again: normalize, canonical_key and
-    find_isomorphism.  The enumerators label rows through _canonical_rows and
-    leave no entry here.
+    """_labelling(d), kept in d.base's memo under d's subsets for normalize,
+    canonical_key and find_isomorphism; the enumerators leave no entry here.
+    A d in canonical form is its own copy, kept as None: no entry refers to
+    its owner, and labelling the copy again finds the entry."""
+    memo = d.base.memo
+    found = memo.get(d.subsets)
+    if found is None:
+        canon, perm = _labelling(d)
+        found = memo[d.subsets] = (None if canon == d else canon), perm
+    return found[0] or d, found[1]
+
+
+def _labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ...]]:
+    """The canonical copy of d and a labelling onto it, computed afresh.
 
     The copy has the least (relations, functions, subsets) encoding over all
     labellings of d by 0..m-1.  The labelling is a tuple: the i-th smallest

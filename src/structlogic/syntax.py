@@ -9,7 +9,7 @@ laid out identically.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import ArityError, KappaError, ShapeError, SignatureError
 from .records import field, record
@@ -210,13 +210,20 @@ def quantify(binder, variables, body: Formula) -> Formula:
     return body
 
 
-@lru_cache(maxsize=100_000)
 def free_vars(phi: Formula) -> frozenset[str]:
+    """phi's free variables, kept on phi."""
+    try:
+        return phi._free_vars
+    except AttributeError:
+        pass
     if isinstance(phi, Atomic):
-        return frozenset().union(*map(term_vars, phi.terms))
-    if isinstance(phi, Equal):
-        return term_vars(phi.left) | term_vars(phi.right)
-    return frozenset().union(*(free_vars(c) - {v} for v, c in scopes(phi)))
+        found = frozenset().union(*map(term_vars, phi.terms))
+    elif isinstance(phi, Equal):
+        found = term_vars(phi.left) | term_vars(phi.right)
+    else:
+        found = frozenset().union(*(free_vars(c) - {v} for v, c in scopes(phi)))
+    object.__setattr__(phi, "_free_vars", found)
+    return found
 
 
 def fresh_var(avoid, stem: str = "v") -> str:

@@ -277,6 +277,28 @@ def test_malformed_input_file_is_an_input_error(form, tmp_path, lt_formula, lin_
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "structure",
+    [
+        "(structure (vocab (rel R 2) (rel R 1)) (universe 1))",
+        "(structure (vocab (fun f 1) (const f)) (universe 1) (const f 0))",
+    ],
+)
+def test_a_symbol_declared_twice_exits_2(structure, tmp_path, capsys):
+    path = _write(tmp_path, "twice.sexp", structure)
+    sentence = _write(tmp_path, "true.sexp", "(forall x (= x x))")
+    assert main(["eval", path, sentence]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "declared twice" in captured.err
+
+
+def test_a_variable_assigned_twice_exits_2(chain3, lt_formula, capsys):
+    assert main(["eval", chain3, lt_formula, "--assign", "x=0,y=1,y=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "'y' more than one value" in captured.err
+
+
 def test_translate_univ_gen(tmp_path, capsys):
     phi = _write(tmp_path, "irr.sexp", "(forall x (not (rel lt x x)))")
     assert main(["translate", phi, "--mode", "univ-gen"]) == 0

@@ -41,6 +41,15 @@ def test_vocab_round_trip():
     assert "(rel E 2)" in text and "(const c)" in text
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(vocab (rel R 2) (rel R 1))", "(vocab (fun f 1) (const f))", "(vocab (rel R 1) (fun R 1))"],
+)
+def test_a_symbol_declared_twice_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="'[Rf]' is declared twice"):
+        parse_vocab(text)
+
+
 def test_structure_round_trip_with_functions():
     v = Vocabulary({"E": 2}, {"f": 1, "c": 0})
     s = FiniteStructure(

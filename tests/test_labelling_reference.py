@@ -1,10 +1,11 @@
 """The branch-and-bound canonical labelling, against the brute force it replaces.
 
-`_canonical_labelling` must return the canonical copy that the minimum over
-all m! permutations returns, and a labelling that maps its input onto that
-copy.  Which of the labellings onto the copy it returns is not fixed: when
-the input has automorphisms, several do.  The brute force is kept below as
-the reference.  The copy's key is compared with it, and the labelling is
+`_labelling`, which `_canonical_labelling` keeps in each structure's memo,
+must return the canonical copy that the minimum over all m! permutations
+returns, and a labelling that maps its input onto that copy.  Which of the
+labellings onto the copy it returns is not fixed: when the input has
+automorphisms, several do.  The brute force is kept below as the
+reference.  The copy's key is compared with it, and the labelling is
 applied to the input, on seeded decorated structures over eight
 vocabularies and on symmetric inputs, where a wrongly pruned branch would
 first show.
@@ -21,7 +22,7 @@ from structlogic.corpus import bare_set, chain, clique_with_loops
 from structlogic.structures import (
     DecoratedStructure,
     FiniteStructure,
-    _canonical_labelling,
+    _labelling,
     decorated,
     relabel,
 )
@@ -80,7 +81,7 @@ def reference_copy(d: DecoratedStructure) -> DecoratedStructure:
 
 
 def assert_matches_reference(d: DecoratedStructure) -> None:
-    canon, perm = _canonical_labelling.__wrapped__(d)
+    canon, perm = _labelling(d)
     assert canon.key == reference_copy(d).key, d
     mapping = dict(zip(sorted(d.base.universe), perm))
     image = decorated(relabel(d.base, mapping), [{mapping[e] for e in s} for s in d.subsets])

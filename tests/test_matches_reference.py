@@ -28,7 +28,6 @@ from structlogic.semantics import eval as ev
 from structlogic.structures import (
     CANONICAL_SIZE_CAP,
     FiniteStructure,
-    _canonical_labelling,
     decorated,
     normalize,
     relabel,
@@ -235,7 +234,7 @@ def test_past_the_labelling_cap_both_raise_on_a_closed_main_set_only():
     assert seen == [raised, False, False, raised, False, raised]
 
 
-def test_quantifier_evaluation_leaves_the_labelling_memo_alone():
+def test_quantifier_evaluation_leaves_the_labelling_memo_alone(monkeypatch):
     vocab = Vocabulary({"R": 2})
     x, y = Var("x"), Var("y")
     formulas = [
@@ -254,9 +253,10 @@ def test_quantifier_evaluation_leaves_the_labelling_memo_alone():
     rng = random.Random(5)
     cells = list(product(range(5), repeat=2))
     graphs = [FiniteStructure(vocab, range(5), {"R": rng.sample(cells, 6)}) for _ in range(60)]
-    before = _canonical_labelling.cache_info().currsize
+    entries, label = [], structures._labelling
+    monkeypatch.setattr(structures, "_labelling", lambda d: entries.append(d) or label(d))
     verdicts = [ev(g, phi, {"y": e}) for phi in formulas for g in graphs for e in g.universe]
-    assert _canonical_labelling.cache_info().currsize == before
+    assert entries == []
     assert any(verdicts) and not all(verdicts)
 
 

@@ -12,16 +12,11 @@ are needed by check 2 alone.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import gc
 
 import pytest
 
-import structlogic
-from structlogic import axiomatizer
+from structlogic import axiomatizer, semantics
 from structlogic.axiomatizer import emit_aq_theory, functorial_expansion, verify_presentation
 from structlogic.classspec import Caps
 from structlogic.closure import class_slice
@@ -29,6 +24,7 @@ from structlogic.corpus import load_corpus_class
 from structlogic.reports import FAIL, PASS, VerificationReport, formula_witness, structure_witness
 from structlogic.semantics import elem_F_star, models
 from structlogic.semantics import eval as eval_formula
+from structlogic.structures import FiniteStructure
 from structlogic.syntax import UNBOUNDED, Forall, Or, Theory, or_, subformula_closure
 
 GOOD = ("linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks")
@@ -185,33 +181,7 @@ def test_dropped_disjunct_reports_equal_and_check_2_decides_its_own_pairs(name, 
     assert calls == len(asked) > pair_count(report, "order-reflected")
 
 
-# The five round trips run in a fresh interpreter, as a CLI command runs them.
-# Inside the suite, `_swept` still holds entries keyed by equal structures that
-# an earlier round trip built under a `ClassSlice` since evicted, and each hit
-# on them compares every row: frozen-predicate at caps 4 then takes about 90 s
-# instead of 5 s.
-_COUNT_CALLS = """
-import json, sys
-from structlogic import axiomatizer
-from structlogic.classspec import Caps
-from structlogic.corpus import load_corpus_class
-
-calls = []
-star = axiomatizer.elem_F_star
-axiomatizer.elem_F_star = lambda *args: calls.append(args) or star(*args)
-out = []
-for name, size in json.loads(sys.argv[1]):
-    spec, caps = load_corpus_class(name), Caps(size=size)
-    theory, catalog = axiomatizer.emit_aq_theory(spec, caps=caps)
-    calls.clear()
-    report = axiomatizer.verify_presentation(spec, theory, caps=caps, catalog=catalog)
-    (reflected,) = [c for c in report.checks if c.name == "order-reflected"]
-    out.append([report.ok, len(calls), reflected.counts["model-substructure-pairs"]])
-print(json.dumps(out))
-"""
-
-
-def test_elem_F_star_runs_once_per_order_reflected_pair():
+def test_elem_F_star_runs_once_per_order_reflected_pair(monkeypatch):
     runs = [
         ("frozen-predicate", 4, 129),
         ("linear-orders", 4, 31),
@@ -219,13 +189,37 @@ def test_elem_F_star_runs_once_per_order_reflected_pair():
         ("triangle-free", 3, 35),
         ("linear-orders", 3, 15),
     ]
-    package_root = Path(structlogic.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", _COUNT_CALLS, json.dumps([run[:2] for run in runs])],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(package_root)},
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[True, pairs, pairs] for _, _, pairs in runs]
+    for name, size, pairs in runs:
+        spec, caps = load_corpus_class(name), Caps(size=size)
+        theory, catalog = emit_aq_theory(spec, caps=caps)
+        report, calls = counted_verify(monkeypatch, spec, theory, caps, catalog)
+        assert [report.ok, calls, pair_count(report, "order-reflected")] == [True, pairs, pairs]
+
+
+def test_memos_die_with_their_owners(monkeypatch):
+    """A round trip after its slice is dropped redoes the matches on its new
+    structures, where entries keyed by equal values would answer every one.
+    Dropping the slice frees every structure it built at once: no global memo
+    keeps one alive, and no memo entry makes a cycle for the collector."""
+    calls = []
+    match = semantics.induces_copy
+    monkeypatch.setattr(semantics, "induces_copy", lambda *args: calls.append(None) or match(*args))
+    spec, caps = load_corpus_class("linear-orders"), Caps(size=4)
+    counts, alive = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            class_slice.cache_clear()
+            alive.append(sum(isinstance(o, FiniteStructure) for o in gc.get_objects()))
+            calls.clear()
+            theory, catalog = emit_aq_theory(spec, caps=caps)
+            assert verify_presentation(spec, theory, caps=caps, catalog=catalog).ok
+            counts.append(len(calls))
+            del theory, catalog
+        class_slice.cache_clear()
+        alive.append(sum(isinstance(o, FiniteStructure) for o in gc.get_objects()))
+    finally:
+        gc.enable()
+    assert counts[0] > 0 and counts[1] == counts[0]
+    assert alive[1] == alive[2] == alive[0]

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import random
+from types import FunctionType
 
 import pytest
 
 from genpool import BIN_VOCAB, FUN_VOCAB, qstruct_pool
 from oracles import oracle_eval
-from structlogic import semantics
 from structlogic.axiomatizer import tarski_universal_theory
 from structlogic.classspec import Caps
 from structlogic.corpus import BUILDERS, bare_set
@@ -30,7 +30,6 @@ from structlogic.structures import (
     decorated,
     enumerate_hereditary,
     enumerate_structures,
-    relabel,
 )
 from structlogic.syntax import (
     UNBOUNDED,
@@ -193,36 +192,54 @@ def test_type_disjunctions_agree_with_oracle_at_size_5():
     assert total == 7200
 
 
+class CountedMemo(dict):
+    """A structure's memo that counts the lookups it answers and its sweep entries."""
+
+    hits = 0
+
+    def get(self, key):
+        found = dict.get(self, key)
+        self.hits += found is not None
+        return found
+
+    def sweeps(self) -> int:
+        """The entries `_swept` added: those keyed by a generated sweep."""
+        return sum(1 for key in self if key and isinstance(key[0], FunctionType))
+
+
 def test_type_disjunction_builds_its_sets_once_per_parameter_value():
-    # universe 50..54 keeps the structure out of every other test's entries
-    rows = {(50, 51), (51, 52), (52, 50), (53, 54)}
-    n = FiniteStructure(BIN_VOCAB, range(50, 55), {"R": rows})
+    rows = {(0, 1), (1, 2), (2, 0), (3, 4)}
+    n = FiniteStructure(BIN_VOCAB, range(5), {"R": rows})
+    n.memo = memo = CountedMemo()
     main = Atomic("R", (Var("x"), Var("z")))
     side = Not(Equal(Var("y"), Var("z")))
     targets = [decorated(bare_set(k), (frozenset(range(k)),)) for k in range(2, 6)]
     disj = Or(tuple(qstruct(t, "x", ("y",), main, (side,)) for t in targets))
-    memo = semantics._swept
-    misses = memo.cache_info().misses
+    before = memo.sweeps()
     for z in sorted(n.universe):
         assert not ev(n, disj, {"z": z})
-    assert memo.cache_info().misses - misses == 5
+    assert memo.sweeps() - before == 5
 
 
 def test_elem_F_star_reads_the_sets_elem_F_built():
-    # chain(4) on 60..63, so no other test has built its entries
-    c = relabel(chain(4), {i: 60 + i for i in range(4)})
+    c = chain(4)
+    part = c.induced({0, 1})
+    memos = part.memo, c.memo = CountedMemo(), CountedMemo()
     frag = subformula_closure(
         Theory("t", LT, (Forall("x", Or(tuple(exists_n(k) for k in range(4)))),))
     )
-    memo = semantics._swept
-    before = memo.cache_info()
-    assert elem_F(c.induced({60, 61}), c, frag).ok
-    after_plain = memo.cache_info()
-    assert after_plain.misses > before.misses
-    assert elem_F_star(c.induced({60, 61}), c, frag).ok
-    after_star = memo.cache_info()
-    assert after_star.misses == after_plain.misses
-    assert after_star.hits > after_plain.hits
+
+    def counts():
+        return sum(map(len, memos)), sum(memo.hits for memo in memos)
+
+    before = counts()
+    assert elem_F(part, c, frag).ok
+    after_plain = counts()
+    assert after_plain[0] > before[0]
+    assert elem_F_star(part, c, frag).ok
+    after_star = counts()
+    assert after_star[0] == after_plain[0]
+    assert after_star[1] > after_plain[1]
 
 
 def test_eval_agrees_with_oracle_spot():
