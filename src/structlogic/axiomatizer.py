@@ -32,12 +32,12 @@ from .semantics import elem_F_star, enumerate_models, eval as eval_formula, mode
 from .structures import (
     DecoratedStructure,
     FiniteStructure,
-    canonical_key,
     decorated,
     enumerate_hereditary,
     expand,
     find_isomorphism,
     normalize,
+    part_type,
     reduct,
 )
 from .syntax import (
@@ -492,10 +492,10 @@ def tarski_universal_theory(
     # the minimal excluded types.  The members are closed under induced
     # substructures, so this predicate is hereditary and the growth finds
     # every such type, sorted by size and then by key.
-    member_keys = {canonical_key(m) for m in sl.members}
+    member_types = {part_type(m, m.universe) for m in sl.members}
 
     def below_members(s: FiniteStructure) -> bool:
-        return all(canonical_key(s.induced(s.universe - {p})) in member_keys for p in s.universe)
+        return all(part_type(s, s.universe - {p}) in member_types for p in s.universe)
 
     minimal = [
         s for s in enumerate_hereditary(vocab, caps.size, below_members) if not spec.contains(s)

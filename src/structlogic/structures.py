@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
+from functools import partial, reduce
 from math import prod
 from operator import add, attrgetter
 
@@ -40,9 +41,7 @@ class FiniteStructure:
         functions: Mapping[str, Mapping[tuple[int, ...], int]] | None = None,
     ):
         universe = frozenset(universe)
-        for e in universe:
-            if not isinstance(e, int) or e < 0:
-                raise DomainError(f"universe elements must be nonnegative ints, got {e!r}")
+        _check_elements(universe)
         rels: dict[str, frozenset[tuple[int, ...]]] = {}
         relations = dict(relations or {})
         for name in relations:
@@ -178,6 +177,12 @@ class DecoratedStructure:
         return (self.base.key, tuple(tuple(sorted(s)) for s in self.subsets))
 
 
+def _check_elements(universe: frozenset) -> None:
+    for e in universe:
+        if not isinstance(e, int) or e < 0:
+            raise DomainError(f"universe elements must be nonnegative ints, got {e!r}")
+
+
 def _structure(vocab: Vocabulary, universe: frozenset[int], rels, funs) -> FiniteStructure:
     """A structure built from valid tables without the constructor's checks: rels maps
     each relation of vocab to a frozenset of rows, funs each function to a total table."""
@@ -232,21 +237,21 @@ def expand(s: FiniteStructure, tau: Vocabulary, tables: Mapping) -> FiniteStruct
 
 
 def relabel(s: FiniteStructure, mapping: dict[int, int]) -> FiniteStructure:
-    """Copy of s with elements renamed by the given bijection."""
-    if sorted(mapping) != sorted(s.universe) or len(set(mapping.values())) != s.size:
+    """Copy of s with elements renamed by the given bijection onto nonnegative ints."""
+    universe = frozenset(mapping.values())
+    if sorted(mapping) != sorted(s.universe) or len(universe) != s.size:
         raise DomainError("relabeling must be a bijection on the universe")
+    _check_elements(universe)
+    rename = mapping.__getitem__
     rels = {
-        name: {tuple(mapping[e] for e in row) for row in s.rel(name)}
+        name: frozenset([tuple(map(rename, row)) for row in s.relations[name]])
         for name in s.vocab.relation_names()
     }
     funs = {
-        name: {
-            tuple(mapping[e] for e in args): mapping[val]
-            for args, val in s.fun(name).items()
-        }
+        name: {tuple(map(rename, args)): mapping[val] for args, val in s._functions[name].items()}
         for name in s.vocab.function_names()
     }
-    return FiniteStructure(s.vocab, mapping.values(), rels, funs)
+    return _structure(s.vocab, universe, rels, funs)
 
 
 def generated_substructure(s: FiniteStructure, seed: Iterable[int]) -> FiniteStructure:
@@ -292,20 +297,33 @@ def _labelling_rows(s: FiniteStructure, subsets=()) -> list[list[tuple[int, ...]
     return groups
 
 
-def _orbits_of(points, generators) -> set[int]:
+def _orbits_of(points, generators) -> set:
+    """The points' orbits under the generators, each a function from a point to its image."""
     seen = set(points)
     stack = list(points)
     while stack:
         p = stack.pop()
         for g in generators:
-            if g[p] not in seen:
-                seen.add(g[p])
-                stack.append(g[p])
+            q = g(p)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
     return seen
 
 
-def _least_labelling(groups, m: int) -> list[int]:
-    """A labelling of 0..m-1 (m >= 2) with the least encoding: the least leaf the search reaches.
+def _row_keys(rows: tuple, lab: list[int], m: int):
+    """A function giving each row's base-m key under the labels lab holds when it is called."""
+    arity = len(rows[0])
+    if arity == 1:
+        return lambda: [lab[x] for x, in rows]
+    if arity == 2:
+        return lambda: [lab[x] * m + lab[y] for x, y in rows]
+    return lambda: [reduce(lambda key, c: key * m + lab[c], row, 0) for row in rows]
+
+
+def _least_labelling(groups, m: int) -> tuple[list[int], list[list[int]]]:
+    """A labelling of 0..m-1 (m >= 2) with the least encoding, the least leaf the search
+    reaches, and the automorphisms of the groups it found on the way.
 
     Branch and bound: labels 0, 1, 2, ... go to elements depth first, and a
     node's children are tried in the order of their bounds.  Each row is
@@ -313,27 +331,26 @@ def _least_labelling(groups, m: int) -> list[int]:
     child's bound reads every unassigned coordinate as the next label, so
     each row, and with it each sorted group, is no larger than in any
     completion.  Distinct rows keep distinct images, so each row of a
-    sorted group is then raised to at least one above the row before it.
+    sorted group is then raised to at least one above the row before it,
+    in one pass.
 
     A child whose bound exceeds the best leaf so far is cut.  A leaf that
-    ties the best yields an automorphism, and a child in the orbit of an
-    explored sibling, under the automorphisms that fix the labelled
-    elements, is skipped.
+    ties the best yields an automorphism g (point p to g[p]), and a child
+    in the orbit of an explored sibling, under the automorphisms that fix
+    the labelled elements, is skipped.  The automorphisms generate a
+    subgroup of the groups' automorphism group, not always all of it.
+    Groups may be lists or frozensets of rows.
     """
     lab = [0] * m
-    columns = [tuple(zip(*rows)) for rows in groups if rows]
+    keyers = [_row_keys(tuple(rows), lab, m) for rows in groups if rows]
 
     def encode(complete: bool) -> list[int]:
         enc = []
-        for cols in columns:
-            keys = [lab[c] for c in cols[0]]
-            for col in cols[1:]:
-                keys = [key * m + lab[c] for key, c in zip(keys, col)]
-            keys.sort()
+        for keys_of in keyers:
+            keys = sorted(keys_of())
             if not complete:
-                for i in range(1, len(keys)):
-                    if keys[i] <= keys[i - 1]:
-                        keys[i] = keys[i - 1] + 1
+                hi = -1
+                keys = [hi := key if key > hi else hi + 1 for key in keys]
             enc += keys
         return enc
 
@@ -357,7 +374,7 @@ def _least_labelling(groups, m: int) -> list[int]:
             if best is not None and enc > best:
                 break
             if explored and automorphisms:
-                fixing = [g for g in automorphisms if all(g[p] == p for p in prefix)]
+                fixing = [g.__getitem__ for g in automorphisms if all(g[p] == p for p in prefix)]
                 if u in _orbits_of(explored, fixing):
                     continue
             if leaves:
@@ -377,7 +394,7 @@ def _least_labelling(groups, m: int) -> list[int]:
 
     search([], list(range(m)))
     del search  # it refers to itself: a cycle the collector would otherwise have to free
-    return best_lab
+    return best_lab, automorphisms
 
 
 def _check_labelling_size(m: int) -> None:
@@ -390,9 +407,9 @@ def _check_labelling_size(m: int) -> None:
 
 
 def _canonical_rows(groups, m: int):
-    """Each group's rows under a least labelling of the points 0..m-1, as frozensets, and
-    the labelling: the one _least_labelling reaches for groups, the rows of each symbol
-    and subset as _labelling_rows gives them.
+    """Each group's rows under a least labelling of the points 0..m-1, as frozensets, the
+    labelling and the automorphisms found: those _least_labelling reaches for groups,
+    the rows of each symbol and subset as _labelling_rows gives them.
 
     Two row lists over one vocabulary give equal frozensets exactly when
     their structures are isomorphic: the frozensets are the canonical copy's
@@ -400,9 +417,10 @@ def _canonical_rows(groups, m: int):
     Sizes beyond CANONICAL_SIZE_CAP raise CapacityError.
     """
     _check_labelling_size(m)
-    perm = _least_labelling(groups, m) if m > 1 else list(range(m))
+    perm, automorphisms = _least_labelling(groups, m) if m > 1 else (list(range(m)), [])
     label = perm.__getitem__
-    return tuple(frozenset([tuple(map(label, row)) for row in rows]) for rows in groups), perm
+    rows = tuple(frozenset([tuple(map(label, row)) for row in rows]) for rows in groups)
+    return rows, perm, automorphisms
 
 
 def _canonical_tables(vocab: Vocabulary, canon_rows, groups, perm):
@@ -446,7 +464,7 @@ def _labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ..
     m = d.base.size
     vocab = d.base.vocab
     groups = _labelling_rows(d.base, d.subsets)
-    canon_rows, perm = _canonical_rows(groups, m)
+    canon_rows, perm, _ = _canonical_rows(groups, m)
     rels, funs = _canonical_tables(vocab, canon_rows, groups, perm)
     subsets = tuple(frozenset([c for (c,) in rows]) for rows in canon_rows[len(rels) + len(funs):])
     canon = _decorated(_structure(vocab, frozenset(range(m)), rels, funs), subsets)
@@ -512,6 +530,24 @@ def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides
     groups += [[(index(e),) for e in side] for side in sides]
     rows = tuple(map(frozenset, groups))
     return rows == target.rows or _canonical_rows(groups, m)[0] == target.rows
+
+
+def part_type(s: FiniteStructure, part: frozenset[int]):
+    """The isomorphism type of s's substructure on part, as its size and the canonical
+    rows of each relation; two parts over one vocabulary have equal types exactly
+    when they are isomorphic.  Relational vocabularies only.  The part's rows are
+    labelled by _canonical_rows: nothing is built, and the labelling memo is not
+    touched.
+    """
+    if s.vocab.functions:
+        raise SignatureError("part types need a relational vocabulary")
+    index = {e: i for i, e in enumerate(sorted(part))}.__getitem__
+    inside = part.issuperset
+    groups = [
+        [tuple(map(index, row)) for row in s.relations[n] if inside(row)]
+        for n in s.vocab.relation_names()
+    ]
+    return len(part), _canonical_rows(groups, len(part))[0]
 
 
 def normalize(x):
@@ -648,6 +684,15 @@ def _point_invariants(relations: Mapping[str, Iterable[tuple[int, ...]]], fields
     return inv
 
 
+def _moved(images, masks: tuple[int, ...]) -> tuple[int, ...]:
+    """masks, one bit mask over the cells of each relation, with bit a of the j-th mask
+    moved to bit images[j][a]."""
+    return tuple(
+        sum([1 << b for a, b in enumerate(image) if mask >> a & 1])
+        for mask, image in zip(masks, images)
+    )
+
+
 def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 5_000_000):
     """Canonical representatives of the structures keep accepts, smallest first.
 
@@ -666,6 +711,15 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
     extension is labelled; when keep is not hereditary, types may be lost.
     max_raw counts every extension, labelled or not.
 
+    Of the extensions of one representative P, one per orbit is labelled.
+    The search that labelled P's type first found automorphisms of it; in
+    P's canonical labels, each fixing the new point, they carry an
+    extension to an isomorphic one with the new point in the same role.  So
+    an extension in the orbit of one labelled before is skipped; it has the
+    same invariants, and its type is already found.  Any subgroup of P's
+    automorphism group serves, and the automorphisms are kept beside P for
+    this enumeration only.
+
     An extension is labelled as rows, the representative's plus the new
     point's, and deduplicated on its canonical rows; a structure is built
     only for the first extension of each new type, and the canonical
@@ -677,13 +731,15 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
         return
     names = vocab.relation_names()
     budget = 0
+    # representative -> automorphisms of it in its labels, each fixing the next new point
+    automorphisms_of = {}
     level = [s for s in (FiniteStructure(vocab, ()),) if keep(s)]
     yield from level
     for k in range(1, max_size + 1):
         elems = list(range(k))
         universe = frozenset(elems)
         fields = _invariant_fields(vocab, k)
-        spaces = []
+        indexes, spaces = [], []
         for n in names:
             cells = sorted(
                 t for t in itertools.product(elems, repeat=vocab.rel_arity(n)) if k - 1 in t
@@ -691,12 +747,18 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
             space = []
             for mask in range(1 << len(cells)):
                 rows = [c for i, c in enumerate(cells) if mask >> i & 1]
-                space.append((rows, _point_invariants({n: rows}, fields, k)))
+                space.append((mask, rows, _point_invariants({n: rows}, fields, k)))
+            indexes.append(dict(zip(cells, itertools.count())))
             spaces.append(space)
         seen = {}
         for rep in level:
             base = _point_invariants(rep.relations, fields, k)
             rep_rows = [list(rep.relations[n]) for n in names]
+            moves = [
+                partial(_moved, [[ix[tuple(map(g.__getitem__, c))] for c in ix] for ix in indexes])
+                for g in automorphisms_of.get(rep, ())
+            ]
+            marked = set()
             for combo in itertools.product(*spaces):
                 budget += 1
                 if budget > max_raw:
@@ -706,14 +768,26 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
                         limit=max_raw,
                     )
                 inv = base
-                for _, counts in combo:
+                for _, _, counts in combo:
                     inv = list(map(add, inv, counts))
                 if inv[-1] < max(inv):
                     continue
-                groups = [old + new for old, (new, _) in zip(rep_rows, combo)]
-                canon_rows = _canonical_rows(groups, k)[0]
+                if moves:
+                    masks = tuple([mask for mask, _, _ in combo])
+                    if masks in marked:
+                        continue
+                    marked |= _orbits_of([masks], moves)
+                groups = [old + new for old, (_, new, _) in zip(rep_rows, combo)]
+                canon_rows, perm, automorphisms = _canonical_rows(groups, k)
                 if canon_rows not in seen:
-                    seen[canon_rows] = _structure(vocab, universe, dict(zip(names, canon_rows)), {})
+                    s = _structure(vocab, universe, dict(zip(names, canon_rows)), {})
+                    seen[canon_rows] = s
+                    if automorphisms and k < max_size:
+                        # g moves point i to g[i]; in canonical labels, perm[i] goes to perm[g[i]]
+                        inverse = sorted(elems, key=perm.__getitem__)
+                        automorphisms_of[s] = [
+                            [perm[g[i]] for i in inverse] + [k] for g in automorphisms
+                        ]
         level = [s for s in sorted(seen.values(), key=attrgetter("key")) if keep(s)]
         yield from level
 
@@ -747,7 +821,7 @@ def enumerate_structures(
         seen = {}
         for combo in _raw_tables(vocab, k, budget, max_raw):
             groups = [rows for _, rows in combo[:r]] + [_graph(t) for _, t in combo[r:]]
-            canon_rows, perm = _canonical_rows(groups, k)
+            canon_rows, perm, _ = _canonical_rows(groups, k)
             if canon_rows not in seen:
                 rels, funs = _canonical_tables(vocab, canon_rows, groups, perm)
                 seen[canon_rows] = _structure(vocab, universe, rels, funs)

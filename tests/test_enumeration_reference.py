@@ -1,8 +1,9 @@
 """Isomorph-free generation with the invariant filter, against the loop that labels everything.
 
 `enumerate_hereditary` labels a one-point extension only when its new point
-has the largest invariant.  The loop it replaced labelled every extension
-and deduplicated the copies; it is kept below as the reference.  Both must
+has the largest invariant, and only one extension per orbit of the
+representative's known automorphisms.  The loop it replaced labelled every
+extension and deduplicated the copies; it is kept below as the reference.  Both must
 give the same canonical keys in the same order, for every structure, for
 the corpus classes' members and for seeded hereditary predicates.  The
 digraph counts are also checked against OEIS, which owes nothing to either.
@@ -130,6 +131,24 @@ def test_seeded_hereditary_predicates_match_reference(seed):
     rng = random.Random(f"hereditary-{seed}")
     relations, max_size = SEEDED[seed % len(SEEDED)]
     vocab = Vocabulary(relations)
+    keep = _forbidding(rng, vocab)
+    got = keys(enumerate_hereditary(vocab, max_size, keep))
+    assert got == keys(reference_hereditary(vocab, max_size, keep))
+
+
+def _seeded_vocabulary(rng: random.Random) -> tuple[Vocabulary, int]:
+    """A binary relation and at most one unary one, or one or two unary relations, with
+    the largest size the reference takes in about a second: 4 with the binary one, else 6."""
+    binary = rng.random() < 0.5
+    arities = [2, 1][: rng.randint(1, 2)] if binary else [1] * rng.randint(1, 2)
+    return Vocabulary({f"R{i}": a for i, a in enumerate(arities)}), 4 if binary else 6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orbit_pruning_matches_reference_on_seeded_vocabularies(seed):
+    # representatives with automorphisms skip extensions in a labelled one's orbit
+    rng = random.Random(f"vocabulary-{seed}")
+    vocab, max_size = _seeded_vocabulary(rng)
     keep = _forbidding(rng, vocab)
     got = keys(enumerate_hereditary(vocab, max_size, keep))
     assert got == keys(reference_hereditary(vocab, max_size, keep))

@@ -9,6 +9,11 @@ reference.  The copy's key is compared with it, and the labelling is
 applied to the input, on seeded decorated structures over eight
 vocabularies and on symmetric inputs, where a wrongly pruned branch would
 first show.
+
+The search itself, `_least_labelling`, is compared on random row groups
+with a copy of it that builds each bound column by column and raises the
+sorted keys in a second loop: the labelling must be the same, and each
+automorphism it reports must map every group onto itself.
 """
 
 from __future__ import annotations
@@ -17,12 +22,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structlogic.corpus import bare_set, chain, clique_with_loops
 from structlogic.structures import (
     DecoratedStructure,
     FiniteStructure,
     _labelling,
+    _least_labelling,
     decorated,
     relabel,
 )
@@ -165,3 +173,107 @@ def test_labelling_agrees_with_brute_force_on_symmetric_inputs(name):
     assert_matches_reference(decorated(s))
     assert_matches_reference(decorated(copy))
     assert_matches_reference(decorated(copy, [set(rng.sample(sorted(copy.universe), 3))]))
+
+
+# ---------------------------------------------------------------------------
+# the search on rows, against the bound it computed before its one-pass rewrite
+
+
+def _reference_orbits(points, generators) -> set[int]:
+    seen = set(points)
+    stack = list(points)
+    while stack:
+        p = stack.pop()
+        for g in generators:
+            if g[p] not in seen:
+                seen.add(g[p])
+                stack.append(g[p])
+    return seen
+
+
+def reference_least_labelling(groups, m: int) -> list[int]:
+    """The least-labelling search with the bound built column by column and raised in a
+    second loop, as it was before each group's keys came from one comprehension."""
+    lab = [0] * m
+    columns = [tuple(zip(*rows)) for rows in groups if rows]
+
+    def encode(complete: bool) -> list[int]:
+        enc = []
+        for cols in columns:
+            keys = [lab[c] for c in cols[0]]
+            for col in cols[1:]:
+                keys = [key * m + lab[c] for key, c in zip(keys, col)]
+            keys.sort()
+            if not complete:
+                for i in range(1, len(keys)):
+                    if keys[i] <= keys[i - 1]:
+                        keys[i] = keys[i - 1] + 1
+            enc += keys
+        return enc
+
+    best = best_lab = None
+    automorphisms = []
+
+    def search(prefix: list[int], free: list[int]) -> None:
+        nonlocal best, best_lab
+        k = len(prefix)
+        leaves = len(free) == 2
+        for w in free:
+            lab[w] = k + 1
+        children = []
+        for u in free:
+            lab[u] = k
+            children.append((encode(leaves), u))
+            lab[u] = k + 1
+        children.sort()
+        explored: list[int] = []
+        for enc, u in children:
+            if best is not None and enc > best:
+                break
+            if explored and automorphisms:
+                fixing = [g for g in automorphisms if all(g[p] == p for p in prefix)]
+                if u in _reference_orbits(explored, fixing):
+                    continue
+            if leaves:
+                lab[u] = k
+                if best is None or enc < best:
+                    best, best_lab = enc, lab[:]
+                else:
+                    inverse = sorted(range(m), key=best_lab.__getitem__)
+                    automorphisms.append([inverse[label] for label in lab])
+                lab[u] = k + 1
+            else:
+                for w in free:
+                    lab[w] = k + 1
+                lab[u] = k
+                search(prefix + [u], [w for w in free if w != u])
+            explored.append(u)
+
+    search([], list(range(m)))
+    return best_lab
+
+
+@st.composite
+def row_groups(draw):
+    """m in 2..7 and 1-4 groups of distinct rows of arity 1-3 over 0..m-1, each group one arity."""
+    m = draw(st.integers(2, 7))
+    point = st.integers(0, m - 1)
+    groups = []
+    for arity in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        rows = draw(st.sets(st.tuples(*[point] * arity), max_size=min(m**arity, 20)))
+        groups.append(list(rows))
+    return groups, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_groups(), st.booleans())
+def test_least_labelling_agrees_with_the_column_bound(case, frozen):
+    groups, m = case
+    if frozen:
+        groups = [frozenset(rows) for rows in groups]
+    labelling, automorphisms = _least_labelling(groups, m)
+    assert labelling == reference_least_labelling(groups, m)
+    for g in automorphisms:
+        assert sorted(g) == list(range(m))
+        for rows in groups:
+            assert {tuple(g[c] for c in row) for row in rows} == set(rows)

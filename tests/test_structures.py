@@ -14,7 +14,7 @@ from structlogic.classspec import Caps
 from structlogic.closure import class_slice
 from structlogic.corpus import BUILDERS
 from structlogic.errors import CapacityError, DomainError, SignatureError
-from structlogic.semantics import enumerate_models
+from structlogic.semantics import enumerate_models, models
 from structlogic.structures import (
     CANONICAL_SIZE_CAP,
     DecoratedStructure,
@@ -28,6 +28,7 @@ from structlogic.structures import (
     find_isomorphism,
     generated_substructure,
     normalize,
+    part_type,
     reduct,
     relabel,
 )
@@ -199,15 +200,73 @@ def test_enumerators_leave_the_labelling_memo_alone(monkeypatch):
     entries, label = [], structures._labelling
     monkeypatch.setattr(structures, "_labelling", lambda d: entries.append(d) or label(d))
     loopless = lambda s: all(a != b for a, b in s.rel("E"))  # noqa: E731
-    counts = [
-        sum(1 for _ in enumerate_structures(Vocabulary({"R": 2}), 3, up_to_iso=True)),
-        sum(1 for _ in enumerate_structures(WITH_CONSTANT, 3, up_to_iso=True)),
-        sum(1 for _ in enumerate_hereditary(GRAPH, 3, loopless)),
-        len(enumerate_expansions(chain(3), Vocabulary({"lt": 2, "P": 1}))),
-        sum(1 for _ in enumerate_models(_universal_theory(), max_size=3)),
+    outputs = [
+        list(enumerate_structures(Vocabulary({"R": 2}), 3, up_to_iso=True)),
+        list(enumerate_structures(WITH_CONSTANT, 3, up_to_iso=True)),
+        list(enumerate_hereditary(GRAPH, 3, loopless)),
+        enumerate_expansions(chain(3), Vocabulary({"lt": 2, "P": 1})),
+        list(enumerate_models(_universal_theory(), max_size=3)),
     ]
-    assert counts == [1 + 2 + 10 + 104, 2 + 4 + 6, 1 + 1 + 3 + 16, 8, 42]
+    assert list(map(len, outputs)) == [1 + 2 + 10 + 104, 2 + 4 + 6, 1 + 1 + 3 + 16, 8, 42]
     assert entries == []
+    assert all(s.memo == {} for output in outputs for s in output)
+
+
+def _kept_sizes_and_raw_count(vocab: Vocabulary, max_size: int, keep) -> tuple[list[int], int]:
+    """The sizes enumerate_hereditary yields, and its raw count: every one-point extension of
+    each kept type, 2 ** (the cells holding the new point) per type of size k - 1."""
+    sizes = [s.size for s in enumerate_hereditary(vocab, max_size, keep)]
+    cells = lambda k: sum(k**a - (k - 1) ** a for a in vocab.relations.values())  # noqa: E731
+    return sizes, sum(sizes.count(k - 1) * 2 ** cells(k) for k in range(1, max_size + 1))
+
+
+BOUNDED_BLOCKS = BUILDERS["bounded-blocks"]()
+
+
+@pytest.mark.parametrize(
+    "vocab, max_size, keep",
+    [
+        (Vocabulary({"R": 2}), 4, lambda s: True),
+        (Vocabulary({"P": 1, "Q": 1}), 6, lambda s: True),
+        (GRAPH, 4, lambda s: all(a != b for a, b in s.rel("E"))),
+        (GRAPH, 5, lambda s: models(s, BOUNDED_BLOCKS.theory, BOUNDED_BLOCKS.kappa)),
+    ],
+    ids=["binary-4", "two-unary-6", "loopless-4", "bounded-blocks-5"],
+)
+def test_raw_cap_counts_pruned_extensions_too(vocab, max_size, keep):
+    # orbit pruning skips extensions of a symmetric type, and each one still counts
+    sizes, raw = _kept_sizes_and_raw_count(vocab, max_size, keep)
+    assert [s.size for s in enumerate_hereditary(vocab, max_size, keep, max_raw=raw)] == sizes
+    with pytest.raises(CapacityError) as err:
+        list(enumerate_hereditary(vocab, max_size, keep, max_raw=raw - 1))
+    assert (err.value.count, err.value.limit) == (raw, raw - 1)
+
+
+def test_orbit_pruning_pins_the_label_searches(monkeypatch):
+    # labelling every extension the invariant filter passes took 3975 and 687 searches
+    calls, least, counting = [], structures._least_labelling, [True]
+
+    def counted(groups, m):
+        if counting[0]:
+            calls.append(m)
+        return least(groups, m)
+
+    def keep(s):
+        # the class's own label searches, if any, are not the enumeration's
+        counting[0] = False
+        try:
+            return models(s, BOUNDED_BLOCKS.theory, BOUNDED_BLOCKS.kappa)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(structures, "_least_labelling", counted)
+    assert sum(1 for _ in enumerate_structures(Vocabulary({"R": 2}), 4, up_to_iso=True)) == 3161
+    assert len(calls) == 3322
+    calls.clear()
+    members = list(enumerate_hereditary(GRAPH, 5, keep))
+    assert len(calls) == 184
+    counting[0] = False
+    assert [s.key for s in members] == [s.key for s in BOUNDED_BLOCKS.members(5)]
 
 
 def test_every_enumeration_route_stops_at_the_labelling_cap():
@@ -230,6 +289,59 @@ def test_generated_substructure_closes_under_functions():
     f = FiniteStructure(UNARY_FUN, range(4), {}, {"f": {(0,): 1, (1,): 2, (2,): 2, (3,): 3}})
     g = generated_substructure(f, {0})
     assert g.universe == frozenset({0, 1, 2})
+
+
+def test_relabel_gives_the_constructors_copy_and_raises_its_errors():
+    rng = random.Random("relabel")
+    for vocab in DERIVED_VOCABS:
+        for size in range(1 if vocab.has_constants() else 0, 6):
+            s = random_structure(rng, vocab, size)
+            mapping = dict(zip(sorted(s.universe), rng.sample(range(40), size)))
+            rels = {
+                n: {tuple(mapping[e] for e in row) for row in s.rel(n)}
+                for n in vocab.relation_names()
+            }
+            funs = {
+                n: {tuple(mapping[e] for e in args): mapping[v] for args, v in s.fun(n).items()}
+                for n in vocab.function_names()
+            }
+            copy, checked = relabel(s, mapping), FiniteStructure(vocab, mapping.values(), rels, funs)
+            assert copy == checked
+            assert [list(copy.fun(n).items()) for n in vocab.function_names()] == [
+                list(checked.fun(n).items()) for n in vocab.function_names()
+            ]
+    s = chain(3)
+    for bad, message in [
+        ({0: 0, 1: -1, 2: 2}, "universe elements must be nonnegative ints, got -1"),
+        ({0: 0, 1: "b", 2: 2}, "universe elements must be nonnegative ints, got 'b'"),
+        ({0: 0, 1: 1.5, 2: 2}, "universe elements must be nonnegative ints, got 1.5"),
+        ({0: 0, 1: 0, 2: 1}, "relabeling must be a bijection on the universe"),
+        ({0: 0, 1: 1}, "relabeling must be a bijection on the universe"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            relabel(s, bad)
+        assert str(err.value) == message
+
+
+def test_part_types_are_equal_exactly_for_isomorphic_parts(monkeypatch):
+    rng = random.Random("part-type")
+    vocab = Vocabulary({"R": 2, "P": 1})
+    structures_ = [random_structure(rng, vocab, size) for size in (3, 4, 5) for _ in range(3)]
+    parts = [
+        (s, frozenset(e for e in range(s.size) if bits >> e & 1))
+        for s in structures_
+        for bits in range(1 << s.size)
+    ]
+    keys = [canonical_key(s.induced(part)) for s, part in parts]
+    for s in structures_:
+        s.memo.clear()
+    monkeypatch.setattr(structures, "_structure", None)  # part_type builds nothing
+    types = [part_type(s, part) for s, part in parts]
+    assert all(s.memo == {} for s in structures_)
+    for (key, t), (other_key, other_t) in itertools.combinations(zip(keys, types), 2):
+        assert (key == other_key) == (t == other_t)
+    with pytest.raises(SignatureError):
+        part_type(random_structure(rng, UNARY_FUN, 2), frozenset({0}))
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from structlogic import structures
 from structlogic.axiomatizer import _forbidden_diagram, tarski_universal_theory
 from structlogic.classspec import Caps, ExplicitClass
 from structlogic.closure import class_slice
@@ -132,3 +133,14 @@ def _forbidding(seed: int) -> ExplicitClass:
 def test_seeded_forbidden_types_match_reference(seed):
     got = assert_same_theory(_forbidding(seed), Caps(size=3))
     assert "forall" in got
+
+
+def test_deletions_are_labelled_as_rows(monkeypatch):
+    # a structure built for each deletion gave its labelling an owner no later call
+    # shares, which took 1172 searches here
+    spec, caps = BUILDERS["triangle-free"](), Caps(size=4)
+    assert_same_theory(spec, caps)  # which also leaves the members' labellings in their memo
+    calls, least = [], structures._least_labelling
+    monkeypatch.setattr(structures, "_least_labelling", lambda g, m: calls.append(m) or least(g, m))
+    tarski_universal_theory(spec, caps)
+    assert len(calls) == 820
