@@ -3,10 +3,11 @@
 `enumerate_hereditary` labels a one-point extension only when its new point
 has the largest invariant, and only one extension per orbit of the
 representative's known automorphisms.  The loop it replaced labelled every
-extension and deduplicated the copies; it is kept below as the reference.  Both must
-give the same canonical keys in the same order, for every structure, for
-the corpus classes' members and for seeded hereditary predicates.  The
-digraph counts are also checked against OEIS, which owes nothing to either.
+extension and deduplicated the copies; it is kept below as the reference.
+Both must give the same canonical keys in the same order, for every
+structure, for the corpus classes' members and for seeded hereditary
+predicates, also over seeded vocabularies.  The digraph counts are also
+checked against OEIS, which owes nothing to either.
 
 The enumerators label rows and deduplicate on the canonical rows of each
 symbol.  The function-vocabulary route of `enumerate_structures` and

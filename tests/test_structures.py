@@ -326,18 +326,18 @@ def test_relabel_gives_the_constructors_copy_and_raises_its_errors():
 def test_part_types_are_equal_exactly_for_isomorphic_parts(monkeypatch):
     rng = random.Random("part-type")
     vocab = Vocabulary({"R": 2, "P": 1})
-    structures_ = [random_structure(rng, vocab, size) for size in (3, 4, 5) for _ in range(3)]
+    samples = [random_structure(rng, vocab, size) for size in (3, 4, 5) for _ in range(3)]
     parts = [
         (s, frozenset(e for e in range(s.size) if bits >> e & 1))
-        for s in structures_
+        for s in samples
         for bits in range(1 << s.size)
     ]
     keys = [canonical_key(s.induced(part)) for s, part in parts]
-    for s in structures_:
+    for s in samples:
         s.memo.clear()
     monkeypatch.setattr(structures, "_structure", None)  # part_type builds nothing
     types = [part_type(s, part) for s, part in parts]
-    assert all(s.memo == {} for s in structures_)
+    assert all(s.memo == {} for s in samples)
     for (key, t), (other_key, other_t) in itertools.combinations(zip(keys, types), 2):
         assert (key == other_key) == (t == other_t)
     with pytest.raises(SignatureError):
