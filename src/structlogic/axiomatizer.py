@@ -119,13 +119,7 @@ def functorial_expansion(spec: ModelClassSpec, caps: Caps = Caps()) -> Expansion
     class order matches expanded-substructure on the finite slice.
     """
     vocab_plus = expanded_vocabulary(spec.vocabulary, caps.size)
-    report = verify_intersections(spec, caps)
-    if not report.ok:
-        witness = report.checks[0].witnesses[0] if report.checks[0].witnesses else None
-        raise IntersectionFailure(
-            f"class {spec.name!r} lacks intersections at size cap {caps.size}",
-            witness=witness,
-        )
+    _require_intersections(spec, caps)
     emap = ExpansionMap(spec, vocab_plus, caps)
     sl = class_slice(spec, caps)
     for n in sl.members:
@@ -140,6 +134,16 @@ def functorial_expansion(spec: ModelClassSpec, caps: Caps = Caps()) -> Expansion
                     witness=(m, n),
                 )
     return emap
+
+
+def _require_intersections(spec: ModelClassSpec, caps: Caps) -> None:
+    """Refuse a class whose intersections sweep fails, with the sweep's first witness."""
+    (check,) = verify_intersections(spec, caps).checks
+    if not check.ok:
+        raise IntersectionFailure(
+            f"class {spec.name!r} lacks intersections at size cap {caps.size}",
+            witness=check.witnesses[0],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +359,17 @@ def verify_presentation(
                 if elementary != in_order:
                     bad4.append((a, n, elementary, in_order))
 
-    report.add(
+    report.check(
         "models-satisfy-theory",
-        FAIL if bad1 else PASS,
         {"members": len(members), "sentences": len(emitted.sentences)},
-        [
-            w
-            for n, s in bad1[:2]
-            for w in (structure_witness("member", n), formula_witness("sentence", s))
-        ],
+        bad1[:2],
+        lambda n, s: (structure_witness("member", n), formula_witness("sentence", s)),
     )
-    report.add(
+    report.check(
         "order-preserved",
-        FAIL if bad2 else PASS,
         {"pairs": pairs2},
-        [
-            w
-            for m, n in bad2[:2]
-            for w in (structure_witness("inner", m), structure_witness("outer", n))
-        ],
+        bad2[:2],
+        lambda m, n: (structure_witness("inner", m), structure_witness("outer", n)),
     )
 
     bad3: list[dict] = []
@@ -431,34 +427,30 @@ def verify_presentation(
                 bad3.append(
                     structure_witness("catalog-witness-not-generating", base_plus)
                 )
-    report.add(
+    report.check(
         "membership",
-        FAIL if bad3 else PASS,
         {"catalog-entries": checked_entries},
-        bad3[:6],
+        [(w,) for w in bad3[:6]],
+        lambda w: (w,),
         note=(
             "decomposition route: coordinate-closure + full-length pair sentences "
             "force any model to be isomorphic to a cataloged target; each target "
             "re-verified as a genuine expanded member"
         ),
     )
-    report.add(
+    report.check(
         "order-reflected",
-        FAIL if bad4 else PASS,
         {"model-substructure-pairs": pairs4},
-        [
-            w
-            for a, n, lhs, rhs in bad4[:2]
-            for w in (
-                structure_witness("substructure", a),
-                structure_witness("outer-member", n),
-                {
-                    "kind": "verdict",
-                    "label": "elementarity-vs-class-order",
-                    "value": f"elementarity {lhs}, class order {rhs}",
-                },
-            )
-        ],
+        bad4[:2],
+        lambda a, n, lhs, rhs: (
+            structure_witness("substructure", a),
+            structure_witness("outer-member", n),
+            {
+                "kind": "verdict",
+                "label": "elementarity-vs-class-order",
+                "value": f"elementarity {lhs}, class order {rhs}",
+            },
+        ),
     )
     return report
 
@@ -678,11 +670,7 @@ def galois_morleyization(
     caps, plain substructure between expanded members coincides with the
     class order — it is measured, never assumed.
     """
-    inter = verify_intersections(spec, caps)
-    if not inter.ok:
-        raise IntersectionFailure(
-            f"class {spec.name!r} lacks intersections at size cap {caps.size}"
-        )
+    _require_intersections(spec, caps)
     dk = enumerate_DK(spec, max_tuple_len=arity_cap, caps=caps)
     reps = []
     extra: dict[str, int] = {}
@@ -718,23 +706,19 @@ def galois_morleyization(
             in_order = m in strong
             if embedded != in_order:
                 bad.append((m, n, embedded, in_order))
-    report.add(
+    report.check(
         "model-completeness",
-        FAIL if bad else PASS,
         {"pairs": pairs, "type-relations": len(reps)},
-        [
-            w
-            for m, n, embedded, in_order in bad[:2]
-            for w in (
-                structure_witness("inner", m),
-                structure_witness("outer", n),
-                {
-                    "kind": "verdict",
-                    "label": "substructure-vs-class-order",
-                    "value": f"expanded substructure {embedded}, class order {in_order}",
-                },
-            )
-        ],
+        bad[:2],
+        lambda m, n, embedded, in_order: (
+            structure_witness("inner", m),
+            structure_witness("outer", n),
+            {
+                "kind": "verdict",
+                "label": "substructure-vs-class-order",
+                "value": f"expanded substructure {embedded}, class order {in_order}",
+            },
+        ),
         note="whether expanded substructure equals the class order at the caps",
     )
     return mmap, report

@@ -15,13 +15,7 @@ from functools import cached_property
 from . import formats, sexpr
 from .errors import CapacityError, ParseError, ShapeError
 from .records import field, record
-from .reports import (
-    FAIL,
-    NOT_FINITELY_TESTABLE,
-    PASS,
-    VerificationReport,
-    structure_witness,
-)
+from .reports import NOT_FINITELY_TESTABLE, VerificationReport, structure_witness
 from .semantics import ElemReport, elem_F_star, enumerate_models, models
 from .structures import (
     CANONICAL_SIZE_CAP,
@@ -168,12 +162,12 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
     sl = class_slice(spec, caps)
     members = sl.members
 
-    refl_bad = [n for n in members if not spec.le(n, n)]
-    report.add(
+    refl_bad = [(n,) for n in members if not sl.le(n, n)]
+    report.check(
         "order-reflexive",
-        FAIL if refl_bad else PASS,
         {"members": len(members)},
-        [structure_witness("member", n) for n in refl_bad[:3]],
+        refl_bad[:3],
+        lambda n: (structure_witness("member", n),),
     )
 
     sub_pairs = [(m, n) for n in members for m in sl.member_parts(n)]
@@ -182,11 +176,11 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
         for m, n in sub_pairs
         if m != n and sl.le(m, n) and sl.le(n, m)
     ]
-    report.add(
+    report.check(
         "order-antisymmetric",
-        FAIL if anti_bad else PASS,
         {"pairs": len(sub_pairs)},
-        [structure_witness("pair-member", m) for m, _ in anti_bad[:3]],
+        anti_bad[:3],
+        lambda m, n: (structure_witness("pair-member", m),),
     )
 
     triples = _triples(sl)
@@ -195,20 +189,20 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
         for m0, m1, n2 in triples
         if sl.le(m1, n2) and sl.le(m0, m1) and not sl.le(m0, n2)
     ]
-    _add_triple_check(report, "order-transitive", len(triples), trans_bad)
+    report.check("order-transitive", {"triples": len(triples)}, trans_bad[:2], _triple_witness)
     report.checks += check_coherence(spec, caps).checks
 
     not_sub = [
         (m, n)
         for m in members
         for n in members
-        if not m.is_substructure_of(n) and spec.le(m, n)
+        if not m.is_substructure_of(n) and sl.le(m, n)
     ]
-    report.add(
+    report.check(
         "order-implies-substructure",
-        FAIL if not_sub else PASS,
         {"pairs": len(members) ** 2},
-        [structure_witness("smaller", m) for m, _ in not_sub[:3]],
+        not_sub[:3],
+        lambda m, n: (structure_witness("smaller", m),),
     )
 
     iso_bad = []
@@ -221,12 +215,12 @@ def check_class_properties(spec: ModelClassSpec, caps: Caps = Caps()) -> Verific
             copy = relabel(n, mapping)
             relabelings += 1
             if not spec.contains(copy):
-                iso_bad.append(copy)
-    report.add(
+                iso_bad.append((copy,))
+    report.check(
         "isomorphism-closure",
-        FAIL if iso_bad else PASS,
         {"relabelings": relabelings},
-        [structure_witness("relabeled-copy", c) for c in iso_bad[:3]],
+        iso_bad[:3],
+        lambda c: (structure_witness("relabeled-copy", c),),
     )
 
     report.add(
@@ -256,7 +250,7 @@ def check_coherence(spec: ModelClassSpec, caps: Caps = Caps()) -> VerificationRe
         for m0, m1, n2 in triples
         if sl.le(m1, n2) and sl.le(m0, n2) and not sl.le(m0, m1)
     ]
-    _add_triple_check(report, "coherence", len(triples), bad)
+    report.check("coherence", {"triples": len(triples)}, bad[:2], _triple_witness)
     return report
 
 
@@ -270,20 +264,12 @@ def _triples(sl) -> list[tuple[FiniteStructure, FiniteStructure, FiniteStructure
     ]
 
 
-def _add_triple_check(report: VerificationReport, name: str, triples: int, bad) -> None:
-    report.add(
-        name,
-        FAIL if bad else PASS,
-        {"triples": triples},
-        [
-            w
-            for m0, m1, n2 in bad[:2]
-            for w in (
-                structure_witness("inner", m0),
-                structure_witness("middle", m1),
-                structure_witness("outer", n2),
-            )
-        ],
+def _triple_witness(m0, m1, n2) -> tuple[dict, ...]:
+    """The witnesses of a failing (m0, m1, n2) triple, innermost first."""
+    return (
+        structure_witness("inner", m0),
+        structure_witness("middle", m1),
+        structure_witness("outer", n2),
     )
 
 

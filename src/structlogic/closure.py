@@ -16,13 +16,7 @@ from functools import cached_property, lru_cache
 from .classspec import Caps, ModelClassSpec
 from .errors import ArityError, CapacityError, DomainError
 from .records import record
-from .reports import (
-    FAIL,
-    PASS,
-    VerificationReport,
-    structure_witness,
-    subset_witness,
-)
+from .reports import VerificationReport, structure_witness, subset_witness
 from .structures import DecoratedStructure, FiniteStructure, decorated, normalize
 
 
@@ -194,19 +188,15 @@ def verify_intersections(spec: ModelClassSpec, caps: Caps = Caps()) -> Verificat
         result = sl.cl(n, frozenset(seed))
         if not result.is_strong:
             bad.append((n, seed, result.structure))
-    report.add(
+    report.check(
         "intersections",
-        FAIL if bad else PASS,
         {"instances": len(instances), "members": len(sl.members)},
-        [
-            w
-            for n, combo, closed in bad[:3]
-            for w in (
-                structure_witness("member", n),
-                subset_witness("seed", combo),
-                structure_witness("closure", closed),
-            )
-        ],
+        bad[:3],
+        lambda n, combo, closed: (
+            structure_witness("member", n),
+            subset_witness("seed", combo),
+            structure_witness("closure", closed),
+        ),
     )
     return report
 
@@ -227,21 +217,17 @@ def check_cl_coherence(spec: ModelClassSpec, caps: Caps = Caps()) -> Verificatio
             in_n = sl.cl(n, frozenset(combo)).structure
             if in_m != in_n:
                 bad.append((m, n, combo, in_m, in_n))
-    report.add(
+    report.check(
         "cl-coherence",
-        FAIL if bad else PASS,
         {"pairs": len(pairs), "instances": instances},
-        [
-            w
-            for m, n, combo, in_m, in_n in bad[:2]
-            for w in (
-                structure_witness("inner", m),
-                structure_witness("outer", n),
-                subset_witness("seed", combo),
-                structure_witness("closure-in-inner", in_m),
-                structure_witness("closure-in-outer", in_n),
-            )
-        ],
+        bad[:2],
+        lambda m, n, combo, in_m, in_n: (
+            structure_witness("inner", m),
+            structure_witness("outer", n),
+            subset_witness("seed", combo),
+            structure_witness("closure-in-inner", in_m),
+            structure_witness("closure-in-outer", in_n),
+        ),
     )
     return report
 

@@ -54,6 +54,15 @@ class VerificationReport:
         self.checks.append(result)
         return result
 
+    def check(self, name: str, counts: dict[str, int], failures, witness, note="") -> CheckResult:
+        """Add a check that fails exactly when failures is non-empty.
+
+        Its witnesses are those of witness(*f) for each failure f, in order;
+        callers pass only the failures they show, such as bad[:2].
+        """
+        witnesses = [w for f in failures for w in witness(*f)]
+        return self.add(name, FAIL if failures else PASS, counts, witnesses, note)
+
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)

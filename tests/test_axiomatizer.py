@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from structlogic import axiomatizer
 from structlogic.axiomatizer import (
+    CatalogEntry,
+    PairCatalog,
     closure_relation_name,
     emit_aq_theory,
     expanded_vocabulary,
@@ -21,7 +24,14 @@ from structlogic.errors import (
     UniversalityError,
 )
 from structlogic.semantics import enumerate_models, models
-from structlogic.structures import FiniteStructure, canonical_key, normalize, reduct
+from structlogic.structures import (
+    DecoratedStructure,
+    FiniteStructure,
+    canonical_key,
+    decorated,
+    normalize,
+    reduct,
+)
 from structlogic.syntax import (
     UNBOUNDED,
     Theory,
@@ -31,6 +41,7 @@ from structlogic.syntax import (
 )
 from structlogic.vocab import Vocabulary
 
+CAPS2 = Caps(size=2)
 CAPS3 = Caps(size=3)
 GOOD_CLASSES = ("linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks")
 
@@ -203,6 +214,156 @@ def test_verify_presentation_catches_dropped_disjunct():
     assert not first.ok
 
 
+def test_round_trip_of_the_empty_class_renders_as_pinned():
+    void = ExplicitClass("void", (), frozenset())
+    theory, catalog = emit_aq_theory(void, caps=CAPS2)
+    header = (
+        '{"caps": {"arity_cap": 2, "pair_cap": 2, "size": 2}, '
+        '"command": "verify_presentation void", "schema": "structlogic-report-v1"}\n'
+        '{"check": "models-satisfy-theory", "counts": {"members": 0}, '
+        '"note": "empty class: nothing to check", "status": "pass", "witnesses": []}\n'
+        '{"check": "order-preserved", "counts": {"pairs": 0}, "note": "empty class", '
+        '"status": "pass", "witnesses": []}\n'
+    )
+    tail = (
+        '{"check": "order-reflected", "counts": {"pairs": 0}, "note": "empty class", '
+        '"status": "pass", "witnesses": []}\n'
+    )
+    note = '"note": "the two contradictory sentences must have no models"'
+    assert verify_presentation(void, theory, caps=CAPS2, catalog=catalog).render() == (
+        header
+        + '{"check": "membership", "counts": {"models-found": 0}, '
+        + note
+        + ', "status": "pass", "witnesses": []}\n'
+        + tail
+        + '{"result": "pass"}\n'
+    )
+    # a presentation with models fails membership with their count
+    open_theory = Theory(theory.name, theory.vocabulary, ())
+    assert verify_presentation(void, open_theory, caps=CAPS2, catalog=catalog).render() == (
+        header
+        + '{"check": "membership", "counts": {"models-found": 8265}, '
+        + note
+        + ', "status": "fail", "witnesses": [{"kind": "count", "label": "models", '
+        + '"value": 8265}]}\n'
+        + tail
+        + '{"result": "fail"}\n'
+    )
+
+
+def test_round_trip_of_the_class_of_the_empty_structure_renders_as_pinned():
+    spec = ExplicitClass("only-empty", (FiniteStructure(Vocabulary({"R": 2}), ()),), frozenset())
+    theory, catalog = emit_aq_theory(spec, caps=CAPS3)
+    assert verify_presentation(spec, theory, caps=CAPS3, catalog=catalog).render() == (
+        '{"caps": {"arity_cap": 3, "pair_cap": 3, "size": 3}, '
+        '"command": "verify_presentation only-empty", "schema": "structlogic-report-v1"}\n'
+        '{"check": "models-satisfy-theory", "counts": {"members": 1, "sentences": 8}, '
+        '"status": "pass", "witnesses": []}\n'
+        '{"check": "order-preserved", "counts": {"pairs": 1}, "status": "pass", '
+        '"witnesses": []}\n'
+        '{"check": "membership", "counts": {"catalog-entries": 1}, "note": "decomposition '
+        "route: coordinate-closure + full-length pair sentences force any model to be "
+        "isomorphic to a cataloged target; each target re-verified as a genuine expanded "
+        'member", "status": "pass", "witnesses": []}\n'
+        '{"check": "order-reflected", "counts": {"model-substructure-pairs": 1}, '
+        '"status": "pass", "witnesses": []}\n'
+        '{"result": "pass"}\n'
+    )
+
+
+def _altered(catalog, key, index, change):
+    """catalog with entry index of pair key replaced by change(entry)."""
+    return PairCatalog(
+        tuple(
+            (k, tuple(change(e) if (k, i) == (key, index) else e for i, e in enumerate(es)))
+            for k, es in catalog.pairs
+        )
+    )
+
+
+def _without_a_closure_row(entry):
+    """entry with its target's last cl2 row, (1 1 1) below, dropped."""
+    base = entry.target.base
+    rels = {name: set(base.rel(name)) for name in base.vocab.relation_names()}
+    rels["cl2"].discard(max(rels["cl2"]))
+    altered = FiniteStructure(base.vocab, base.universe, rels)
+    return CatalogEntry(DecoratedStructure(altered, entry.target.subsets), entry.witness)
+
+
+TWO_CHAIN_PLUS = (
+    "(structure (vocab (rel cl0 1) (rel cl1 2) (rel cl2 3) (rel lt 2)) (universe 2) "
+    "(rel cl0) (rel cl1 (0 0) (0 1) (1 1)) (rel cl2 (0 0 0) (0 0 1) (0 1 0) (0 1 1) "
+    "(1 0 1) (1 1 0){}) (rel lt (0 1)))"
+)
+
+COORDINATE_2_1 = axiomatizer._reflexivity_sentence(2, 1)
+
+# Each mutation of linear-orders' caps-2 round trip (theory, catalog), the
+# catalog entries check 3 (membership) then counts, and the witness it renders.
+# Entry 1 of pair (1, 1) is the expanded 2-chain with designated subset {0}
+# and witness tuple (0, 1).
+MEMBERSHIP_MUTATIONS = {
+    "coordinate-closure sentence removed": (
+        lambda t, c: (
+            Theory(t.name, t.vocabulary, tuple(s for s in t.sentences if s != COORDINATE_2_1)),
+            c,
+        ),
+        12,
+        '{"kind": "missing-sentence", "label": "coordinate-closure (2, 1)", '
+        '"value": "length 2, coordinate 1"}',
+    ),
+    "(1, 0) catalog pair emptied": (
+        lambda t, c: (
+            t,
+            PairCatalog(tuple((k, () if k == (1, 0) else es) for k, es in c.pairs)),
+        ),
+        10,
+        '{"kind": "missing-catalog", "label": "pair (1, 0)", "value": "no entries"}',
+    ),
+    "target altered": (
+        lambda t, c: (t, _altered(c, (1, 1), 1, _without_a_closure_row)),
+        12,
+        '{"kind": "structure", "label": "catalog-target-not-expanded-member", '
+        f'"value": "{TWO_CHAIN_PLUS.format("")}"}}',
+    ),
+    "prefix subset altered": (
+        lambda t, c: (
+            t,
+            _altered(
+                c,
+                (1, 1),
+                1,
+                lambda e: CatalogEntry(decorated(e.target.base, [{0, 1}]), e.witness),
+            ),
+        ),
+        12,
+        '{"kind": "structure", "label": "catalog-subset-mismatch", '
+        f'"value": "{TWO_CHAIN_PLUS.format(" (1 1 1)")}"}}',
+    ),
+    "witness tuple altered": (
+        lambda t, c: (t, _altered(c, (1, 1), 1, lambda e: CatalogEntry(e.target, (0, 0)))),
+        12,
+        '{"kind": "structure", "label": "catalog-witness-not-generating", '
+        f'"value": "{TWO_CHAIN_PLUS.format(" (1 1 1)")}"}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MEMBERSHIP_MUTATIONS))
+def test_membership_renders_the_witness_of_each_mutation(mutation):
+    mutate, entries, witness = MEMBERSHIP_MUTATIONS[mutation]
+    spec = lin()
+    theory, catalog = mutate(*emit_aq_theory(spec, caps=CAPS2))
+    report = verify_presentation(spec, theory, caps=CAPS2, catalog=catalog)
+    assert [c.name for c in report.checks if not c.ok] == ["membership"]
+    assert report.render().splitlines()[3] == (
+        f'{{"check": "membership", "counts": {{"catalog-entries": {entries}}}, '
+        '"note": "decomposition route: coordinate-closure + full-length pair sentences '
+        "force any model to be isomorphic to a cataloged target; each target re-verified "
+        f'as a genuine expanded member", "status": "fail", "witnesses": [{witness}]}}'
+    )
+
+
 def test_tarski_universal_theory_triangle_free():
     spec = BUILDERS["triangle-free"]()
     theory = tarski_universal_theory(spec, caps=Caps(size=3))
@@ -283,3 +444,16 @@ def test_galois_morleyization_reports_model_completeness():
     _, report = galois_morleyization(lin(), arity_cap=3, caps=CAPS3)
     names = [c.name for c in report.checks]
     assert "model-completeness" in names
+
+
+def test_galois_morleyization_refuses_broken_intersections_with_the_witness():
+    spec = BUILDERS["broken-intersections"]()
+    with pytest.raises(IntersectionFailure) as refused:
+        functorial_expansion(spec, caps=Caps(size=4))
+    with pytest.raises(IntersectionFailure, match="lacks intersections at size cap 4") as galois:
+        galois_morleyization(spec, caps=Caps(size=4))
+    assert galois.value.witness == refused.value.witness == {
+        "kind": "structure",
+        "label": "member",
+        "value": "(structure (vocab) (universe 4))",
+    }

@@ -6,7 +6,15 @@ import os
 
 import pytest
 
-from structlogic.classspec import Caps, ExplicitClass, check_class_properties, print_class_spec
+from structlogic import classspec
+from structlogic.classspec import (
+    Caps,
+    DefinedClass,
+    ExplicitClass,
+    check_class_properties,
+    print_class_spec,
+)
+from structlogic.closure import class_slice
 from structlogic.corpus import (
     BUILDERS,
     all_p,
@@ -22,6 +30,7 @@ from structlogic.corpus import (
 from structlogic.errors import CapacityError
 from structlogic.semantics import enumerate_models
 from structlogic.structures import FiniteStructure, normalize, relabel
+from structlogic.syntax import Atomic, Exists, Theory, Var
 from structlogic.vocab import Vocabulary
 
 GOOD = ("linear-orders", "triangle-free", "frozen-predicate", "bounded-blocks")
@@ -71,6 +80,15 @@ def test_hereditary_flag_holds(name):
     assert spec.members(4) == tuple(every)
 
 
+def test_members_without_the_hereditary_flag_are_the_models():
+    # the flag is trusted, not checked: with it, this theory would lose every member
+    theory = Theory("some-p", Vocabulary({"P": 1}), (Exists("x", Atomic("P", (Var("x"),))),))
+    spec = DefinedClass("some-p", theory, size_cap=3)
+    assert not spec.hereditary
+    assert spec.members() == tuple(enumerate_models(theory, max_size=3))
+    assert [m.size for m in spec.members()] == [1, 2, 2, 3, 3, 3]
+
+
 def test_linear_order_le_is_initial_segment():
     spec = linear_orders()
     c3 = chain(3)
@@ -116,6 +134,20 @@ def test_class_axiom_slice_passes(name):
         c.name for c in report.checks if c.status == "not-finitely-testable"
     }
     assert untestable == {"chain-axioms", "size-bound-axiom"}
+
+
+def test_class_axioms_decide_each_order_pair_once(monkeypatch):
+    asked = []
+    real = classspec.elem_F_star
+
+    def counted(m, n, *rest):
+        asked.append((m, n))
+        return real(m, n, *rest)
+
+    monkeypatch.setattr(classspec, "elem_F_star", counted)
+    class_slice.cache_clear()
+    assert check_class_properties(load_corpus_class("linear-orders"), Caps(size=4)).ok
+    assert len(asked) == len(set(asked)) == 41
 
 
 def test_broken_coherence_fails_exactly_coherence():

@@ -167,6 +167,38 @@ def test_only_structures_reads_structure_tables():
     assert offenders == {}
 
 
+def failure_statuses(source: str) -> list[int]:
+    """Lines of each `FAIL if ...` expression: a check status chosen from its failures."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.IfExp)
+        and getattr(node.body, "id", getattr(node.body, "attr", None)) == "FAIL"
+    )
+
+
+def test_lint_flags_a_status_chosen_from_failures():
+    source = (
+        "def a(bad):\n    return FAIL if bad else PASS\n"
+        "def b(bad):\n    return reports.FAIL if bad else reports.PASS\n"
+        "def c(n):\n    return PASS if n == 0 else FAIL\n"
+        "def d():\n    return 'FAIL if'\n"
+    )
+    assert failure_statuses(source) == [2, 4]
+
+
+def test_only_reports_chooses_a_status_from_failures():
+    """Every sweep hands its failures to `VerificationReport.check`, which alone
+    decides pass or fail from them."""
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reports.py"
+        for lines in [failure_statuses(path.read_text(encoding="utf-8"))]
+        if lines
+    }
+    assert offenders == {}
+
 def defined_names(source: str) -> list[str]:
     """Top-level functions and classes, and non-dunder methods as Class.method."""
     out = []

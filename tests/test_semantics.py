@@ -15,6 +15,7 @@ from structlogic.errors import (
     CapacityError,
     DomainError,
     KappaError,
+    SignatureError,
 )
 from structlogic.semantics import (
     MAX_ELEM_FREE_VARS,
@@ -457,3 +458,10 @@ def test_elem_capacity_cap():
     frag = Fragment(frozenset({wide, many}))
     with pytest.raises(CapacityError):
         elem_F(chain(2), chain(2), frag)
+
+
+def test_elem_F_raises_on_a_malformed_quantifier_free_member():
+    # a quantifier-free member that fails the audit is evaluated, not skipped
+    frag = Fragment(frozenset({Atomic("gt", (Var("a"), Var("b")))}))
+    with pytest.raises(SignatureError, match="unknown relation symbol 'gt'"):
+        elem_F(chain(2).induced({0}), chain(2), frag)
