@@ -13,21 +13,29 @@ values are its free variables' values in the sorted order of their names,
 which the function keeps as its `variables`.  A quantifier-free subformula
 becomes one boolean expression over positional locals: `in` on a relation's
 row set, indexing into a function's table, `==`, `and`, `or` and `not`.  The
-tables a function reads are fetched once per call; one the structure lacks
-raises only when it is read.  An Exists/Forall whose free variables include
-every variable bound by a loop around it in the same function, and which
-holds no structure quantifier, is inlined as a loop over the universe with
-no memo: within one call no loop around it repeats its parameter values.
-Every other Exists/Forall, and every structure quantifier, keeps a sweep of
-the same signature on its node, memoised by `_swept` in the structure's
-memo per sweep and parameter values, so formulas sharing the node share its
-entries.  A structure quantifier's sweep gives its main and side solution
-sets, one sweep per equal slots tuple, so the disjuncts of a type
-disjunction share one entry.  `_matches` compares them with the target's row
-counts and canonical rows, taken once per equal target when the formula is
-compiled: it reads n's rows of the target's symbols inside the main set,
-rejects on sizes, closure and row counts, and labels only a part that
-passes, building no structure; its verdicts live in the structure's memo.
+tables a function reads are fetched once per call, each by symbol and
+arity; one the structure lacks, or has at another arity, raises only when it
+is read (a relation of another arity raises the audit's ArityError).  An
+Exists/Forall whose free variables include every variable bound by a loop
+around it in the same function, and which holds no structure quantifier, is
+inlined as a loop over the universe with no memo: within one call no loop
+around it repeats its parameter values.  Every other Exists/Forall, and
+every structure quantifier, keeps a sweep of the same signature on its node,
+memoised by `_swept` in the structure's memo per sweep and parameter values,
+so formulas sharing the node share its entries.
+
+Three weak interners make equal work one object while anything holds it:
+Exists/Forall sweeps by their code and constants (`_BINDER_SWEEPS`), so
+alpha-variant nodes, such as the relativized guards `qstruct_to_counting`
+copies per bound variable, share one sweep and its entries; structure
+quantifiers' sweeps by their slots (`_SLOT_SWEEPS`), so the disjuncts of a
+type disjunction share one entry; and targets by key (`_TARGETS`).  A
+structure quantifier's sweep gives its main and side solution sets, each one
+object per equal set within the structure (`_shared`).  `_matches` compares
+them with the target's row counts and canonical rows: it reads n's rows of
+the target's symbols inside the main set, rejects on sizes, closure and row
+counts, and labels only a part that passes, building no structure; its
+verdicts live in the structure's memo.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -43,7 +51,14 @@ from itertools import product
 from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
-from .errors import AssignmentError, CapacityError, DomainError, SignatureError, StructLogicError
+from .errors import (
+    ArityError,
+    AssignmentError,
+    CapacityError,
+    DomainError,
+    SignatureError,
+    StructLogicError,
+)
 from .formats import print_formula
 from .records import record
 from .structures import (
@@ -110,7 +125,7 @@ class _Source:
     def __init__(self):
         self.consts: list = []
         self.index: dict = {}
-        self.tables: dict[tuple, str] = {}  # (symbol, arity or None) -> local
+        self.tables: dict[tuple, str] = {}  # ("r" or "f", symbol, arity) -> local
         self.count = 0
         self.elements = False  # whether the function reads the universe E
         self.head: list[str] = []
@@ -135,10 +150,12 @@ class _Source:
             self.head.append(f"{', '.join(names.values())}, = values")
         return names
 
-    def table(self, symbol: str, arity: int | None = None) -> str:
-        key = (symbol, arity)
+    def table(self, kind: str, symbol: str, arity: int) -> str:
+        """The local holding n's table of the symbol at the arity: kind "r" for a
+        relation's row set, "f" for a function's table."""
+        key = (kind, symbol, arity)
         if key not in self.tables:
-            self.tables[key] = f"{'r' if arity is None else 'f'}{len(self.tables)}"
+            self.tables[key] = f"{kind}{len(self.tables)}"
         return self.tables[key]
 
     def helper(self, text: str, names) -> str:
@@ -154,7 +171,7 @@ class _Source:
         if isinstance(t, Var):
             return names[t.name], 0
         args = [self.term(a, names) for a in t.args]
-        text = f"{self.table(t.fun, len(t.args))}[{_tuple(a for a, _ in args)}]"
+        text = f"{self.table('f', t.fun, len(t.args))}[{_tuple(a for a, _ in args)}]"
         depth = 2 + max((d for _, d in args), default=0)
         return (self.helper(text, names), 1) if depth > _MAX_NESTING else (text, depth)
 
@@ -184,7 +201,8 @@ class _Source:
         if isinstance(phi, Atomic):
             rows = [self.term(t, names) for t in phi.terms]
             depth = 1 + max((d for _, d in rows), default=0)
-            return f"{_tuple(r for r, _ in rows)} in {self.table(phi.rel)}", _TEST, depth
+            table = self.table("r", phi.rel, len(rows))
+            return f"{_tuple(r for r, _ in rows)} in {table}", _TEST, depth
         if isinstance(phi, Equal):
             (left, d1), (right, d2) = self.term(phi.left, names), self.term(phi.right, names)
             return f"{left} == {right}", _TEST, max(d1, d2)
@@ -206,12 +224,11 @@ class _Source:
             return f"_swept(n, {self.const(_sweep(phi))}, {values})", _ATOM, 2
         if isinstance(phi, QStruct):
             values = _tuple(names[v] for v in sorted(free_vars(phi)))
-            checked = self.const([None])  # the last structure vocabulary admitted
-            admit = f"_admit(n, {self.const(phi.target.base.vocab)}, {checked})"
+            target = self.const(_target(phi.target))
             sets = f"_swept(n, {self.const(_sweep(phi))}, {values})"
             text = (
-                f"(n.vocab is {checked}[0] or {admit}) "
-                f"and _matches(n, {self.const(_target(phi.target))}, *{sets})"
+                f"(n.vocab is {target}.admitted or _admit(n, {target})) "
+                f"and _matches(n, {target}, *{sets})"
             )
             return text, _AND, 3
         raise TypeError(f"not a formula: {phi!r}")
@@ -221,14 +238,9 @@ class _Source:
         head = list(self.head)
         if self.elements:
             head.append("E = n.elements")
-        if any(arity is None for _, arity in self.tables):
-            head.append("R = n.relations")
-        for (symbol, arity), local in self.tables.items():
-            c = self.const(symbol)
-            if arity is None:
-                head.append(f"{local} = R[{c}] if {c} in R else _Unreadable(n, {c})")
-            else:
-                head.append(f"{local} = _function_table(n, {c}, {arity!r})")
+        for (kind, symbol, arity), local in self.tables.items():
+            fetch = "_relation_table" if kind == "r" else "_function_table"
+            head.append(f"{local} = {fetch}(n, {self.const(symbol)}, {arity!r})")
         params = "".join(f", c{i}" for i in range(len(self.consts)))
         body = "".join(f"    {line}\n" for line in [*self.helpers, *head, *lines])
         code = _code(f"def f(n, values{params}):\n{body}")
@@ -248,7 +260,8 @@ class _Unreadable:
     """Stands in for a table the structure lacks, or has at another arity.
 
     A function fetches its tables once per call but may never read one, so
-    the error is raised on reading, by the structure's own accessor.
+    the error is raised on reading: by the structure's own accessor, and for
+    a relation of another arity as `syntax.audit_formula` raises it.
     """
 
     __slots__ = ("n", "name")
@@ -257,10 +270,19 @@ class _Unreadable:
         self.n, self.name = n, name
 
     def __contains__(self, row):
-        return row in self.n.rel(self.name)
+        arity = self.n.vocab.rel_arity(self.name)  # SignatureError for a symbol n lacks
+        raise ArityError(f"relation {self.name!r} expects {arity} terms")
 
     def __getitem__(self, args):
         return self.n.apply(self.name, args)
+
+
+def _relation_table(n: FiniteStructure, name: str, arity: int):
+    """n's rows of the relation symbol, or a stand-in when n has none at arity."""
+    rows = n.relations.get(name)
+    if rows is None or n.vocab.rel_arity(name) != arity:
+        return _Unreadable(n, name)
+    return rows
 
 
 def _function_table(n: FiniteStructure, name: str, arity: int):
@@ -273,13 +295,13 @@ def _function_table(n: FiniteStructure, name: str, arity: int):
     return _Unreadable(n, name)
 
 
-def _admit(n: FiniteStructure, vocab, checked: list) -> bool:
-    """Check a quantifier's target vocabulary against n's; remember it in checked."""
-    if not vocab.is_subvocabulary_of(n.vocab):
+def _admit(n: FiniteStructure, target: MatchTarget) -> bool:
+    """Check a quantifier's target vocabulary against n's; remember n's as admitted."""
+    if not target.vocab.is_subvocabulary_of(n.vocab):
         raise SignatureError(
             "quantifier target vocabulary is not a sub-vocabulary of the structure's"
         )
-    checked[0] = n.vocab
+    target.admitted = n.vocab
     return True
 
 
@@ -315,10 +337,14 @@ def _sweep(phi: Exists | Forall | QStruct):
         test = src.expr(body, {**names, phi.var: local}, frozenset((local,)))[0]
         lines = [f"for {local} in E:", f"    if {test}:", f"        return {exists}"]
         sweep = src.build([*lines, f"return {not exists}"])
+        # alpha-variant nodes compile to one function of their parameters' values
+        sweep = _BINDER_SWEEPS.setdefault((sweep.__code__, sweep.__defaults__), sweep)
     object.__setattr__(phi, "_sweep", sweep)
     return sweep
 
 
+# Exists/Forall sweeps by (code, constants), structure quantifiers' by slots
+_BINDER_SWEEPS = WeakValueDictionary()
 _SLOT_SWEEPS = WeakValueDictionary()
 
 
@@ -340,8 +366,25 @@ def _slot_sweep(slots: tuple):
         test = src.expr(body, {**names, x: local}, frozenset((local,)))[0]
         sets.append(f"frozenset([{local} for {local} in E if {test}])")
     main, *sides = sets
-    sweep = _SLOT_SWEEPS[slots] = src.build([f"return {main}, {_tuple(sides)}"])
+    sweep = _SLOT_SWEEPS[slots] = src.build([f"return _shared(n, {main}, {_tuple(sides)})"])
     return sweep
+
+
+# the memo key of a structure's shared sets; every other key is a tuple of
+# frozensets (labellings) or starts with a sweep or a MatchTarget
+_SETS = ("shared sets",)
+
+
+def _shared(n: FiniteStructure, main: frozenset, sides: tuple):
+    """main and sides as the objects n's memo already holds for equal sets, so
+    each set a slot sweep finds in n is one object however often it recurs."""
+    shared = n.memo.get(_SETS)
+    if shared is None:
+        shared = n.memo[_SETS] = {}
+    main = shared.setdefault(main, main)
+    if sides:
+        sides = tuple(map(shared.setdefault, sides, sides))
+    return main, sides
 
 
 def _swept(n: FiniteStructure, sweep, values: tuple):
@@ -384,8 +427,9 @@ _RUNTIME = {
     "_admit": _admit,
     "_function_table": _function_table,
     "_matches": _matches,
+    "_relation_table": _relation_table,
+    "_shared": _shared,
     "_swept": _swept,
-    "_Unreadable": _Unreadable,
 }
 
 

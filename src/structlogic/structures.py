@@ -28,10 +28,14 @@ class FiniteStructure:
     `relations` maps each relation symbol to its frozenset of rows; read it,
     never change it.  Function tables stay behind `fun` and `apply`.  `memo`
     keeps what the package computes from the structure (canonical labellings,
-    the evaluator's sweeps and matches), so each entry dies with it.
+    the evaluator's sweeps and matches), so each entry dies with it.  The key
+    and its hash are built on first use: most derived structures are never
+    hashed.
     """
 
-    __slots__ = ("vocab", "universe", "relations", "_functions", "_key", "_hash", "memo")
+    __slots__ = (
+        "vocab", "universe", "relations", "_functions", "_elements", "_key", "_hash", "memo"
+    )
 
     def __init__(
         self,
@@ -78,13 +82,8 @@ class FiniteStructure:
         self.universe = universe
         self.relations = rels
         self._functions = funs
-        self._key = (
-            vocab.key,
-            tuple(sorted(universe)),
-            tuple((n, tuple(sorted(rels[n]))) for n in sorted(rels)),
-            tuple((n, tuple(sorted(funs[n].items()))) for n in sorted(funs)),
-        )
-        self._hash = hash(self._key)
+        self._elements = tuple(sorted(universe))
+        self._key = self._hash = None
         self.memo = {}
         return self
 
@@ -94,12 +93,21 @@ class FiniteStructure:
 
     @property
     def key(self):
-        return self._key
+        key = self._key
+        if key is None:
+            rels, funs = self.relations, self._functions
+            key = self._key = (
+                self.vocab.key,
+                self.elements,
+                tuple((n, tuple(sorted(rels[n]))) for n in sorted(rels)),
+                tuple((n, tuple(sorted(funs[n].items()))) for n in sorted(funs)),
+            )
+        return key
 
     @property
     def elements(self) -> tuple[int, ...]:
         """The universe in increasing order."""
-        return self._key[1]
+        return self._elements
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         try:
@@ -146,10 +154,13 @@ class FiniteStructure:
         return other.is_closed_subset(self.universe) and _induced(other, self.universe) == self
 
     def __eq__(self, other):
-        return isinstance(other, FiniteStructure) and self._key == other._key
+        return isinstance(other, FiniteStructure) and self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        found = self._hash
+        if found is None:
+            found = self._hash = hash(self.key)
+        return found
 
     def __repr__(self):
         return f"FiniteStructure(size={self.size}, vocab={self.vocab!r})"
@@ -475,16 +486,21 @@ class MatchTarget:
     """A decorated structure as induces_copy compares parts with it: its size,
     each relation's and subset's row count, its functions' arities and its
     canonical rows, None past CANONICAL_SIZE_CAP, where no part of its size
-    can be labelled.  Hashed by identity.
+    can be labelled.  Hashed by identity.  `vocab` is the target's vocabulary,
+    and `admitted` the last structure vocabulary the evaluator checked it
+    against.
     """
 
-    __slots__ = ("size", "relations", "functions", "side_counts", "rows", "__weakref__")
+    __slots__ = (
+        "vocab", "admitted", "size", "relations", "functions", "side_counts", "rows", "__weakref__"
+    )
 
     def __init__(self, target: DecoratedStructure):
         base = target.base
         vocab, m = base.vocab, base.size
         groups = _labelling_rows(base, target.subsets)
         counts = tuple(map(len, groups))
+        self.vocab, self.admitted = vocab, None
         self.size = m
         self.relations = tuple(zip(vocab.relation_names(), counts))
         self.functions = tuple((n, vocab.fun_arity(n)) for n in vocab.function_names())
@@ -709,7 +725,8 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
     extension of its representative whose new point plays w's role passes.
     So the output is every accepted type up to max_size, as when every
     extension is labelled; when keep is not hereditary, types may be lost.
-    max_raw counts every extension, labelled or not.
+    max_raw counts every extension, labelled or not: a size whose extensions
+    would pass it raises CapacityError before any of them is built.
 
     Of the extensions of one representative P, one per orbit is labelled.
     The search that labelled P's type first found automorphisms of it; in
@@ -736,14 +753,25 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
     level = [s for s in (FiniteStructure(vocab, ()),) if keep(s)]
     yield from level
     for k in range(1, max_size + 1):
+        if not level:
+            return
         elems = list(range(k))
         universe = frozenset(elems)
         fields = _invariant_fields(vocab, k)
-        indexes, spaces = [], []
-        for n in names:
-            cells = sorted(
-                t for t in itertools.product(elems, repeat=vocab.rel_arity(n)) if k - 1 in t
+        # the cells of each relation's rows that hold the new point k - 1
+        new_cells = [
+            sorted(t for t in itertools.product(elems, repeat=vocab.rel_arity(n)) if k - 1 in t)
+            for n in names
+        ]
+        budget += len(level) * prod(1 << len(cells) for cells in new_cells)
+        if budget > max_raw:
+            raise CapacityError(
+                f"structure enumeration exceeded the raw cap of {max_raw}",
+                count=budget,
+                limit=max_raw,
             )
+        indexes, spaces = [], []
+        for n, cells in zip(names, new_cells):
             space = []
             for mask in range(1 << len(cells)):
                 rows = [c for i, c in enumerate(cells) if mask >> i & 1]
@@ -760,13 +788,6 @@ def enumerate_hereditary(vocab: Vocabulary, max_size: int, keep, max_raw: int = 
             ]
             marked = set()
             for combo in itertools.product(*spaces):
-                budget += 1
-                if budget > max_raw:
-                    raise CapacityError(
-                        f"structure enumeration exceeded the raw cap of {max_raw}",
-                        count=budget,
-                        limit=max_raw,
-                    )
                 inv = base
                 for _, _, counts in combo:
                     inv = list(map(add, inv, counts))

@@ -211,7 +211,8 @@ def quantify(binder, variables, body: Formula) -> Formula:
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    """phi's free variables, kept on phi."""
+    """phi's free variables, kept on phi: a child's set object when the two are
+    equal, so a chain of nodes over the same variables holds one set."""
     try:
         return phi._free_vars
     except AttributeError:
@@ -221,7 +222,9 @@ def free_vars(phi: Formula) -> frozenset[str]:
     elif isinstance(phi, Equal):
         found = term_vars(phi.left) | term_vars(phi.right)
     else:
-        found = frozenset().union(*(free_vars(c) - {v} for v, c in scopes(phi)))
+        slots = scopes(phi)
+        found = frozenset().union(*(free_vars(c) - {v} for v, c in slots))
+        found = next((free_vars(c) for _, c in slots if free_vars(c) == found), found)
     object.__setattr__(phi, "_free_vars", found)
     return found
 

@@ -95,6 +95,14 @@ def test_explicit_class_past_the_labelling_cap_exits_2(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_wrong_arity_atom_exits_2(chain2, tmp_path, capsys):
+    phi = _write(tmp_path, "short.sexp", "(rel lt x)")
+    assert main(["eval", chain2, phi, "--assign", "x=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: relation 'lt' expects 2 terms\n"
+
+
 def test_parse_error_exits_2(chain3, tmp_path, capsys):
     bad = _write(tmp_path, "bad.sexp", "(lt x")
     assert main(["eval", chain3, bad]) == 2

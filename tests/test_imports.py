@@ -1,5 +1,6 @@
 """Stdlib-only `ast` and `argparse` lints over the package modules: unused,
-private and dead names, the memo inventory, and README's CLI synopsis."""
+private and dead names, the memo and weak-interner inventories, and README's
+CLI synopsis."""
 
 from __future__ import annotations
 
@@ -297,14 +298,38 @@ def unbounded_memos(source: str) -> list[str]:
     return sorted(out)
 
 
-def documented_memos(readme: str) -> list[str]:
-    """module.name for each memo the library map names as "`name` keyed by"."""
+def _named_in_library_map(readme: str, phrase: str) -> list[str]:
+    """module.name for each "`name` <phrase>" in a row of the library map."""
     out = []
     for line in readme.splitlines():
         row = re.match(r"\| `structlogic\.(\w+)` \|(.*)\|$", line)
         if row:
-            out += [f"{row[1]}.{name}" for name in re.findall(r"`(\w+)` keyed by", row[2])]
+            out += [f"{row[1]}.{name}" for name in re.findall(rf"`(\w+)` {phrase}", row[2])]
     return sorted(out)
+
+
+def documented_memos(readme: str) -> list[str]:
+    """module.name for each memo the library map names as "`name` keyed by"."""
+    return _named_in_library_map(readme, "keyed by")
+
+
+def weak_interners(source: str) -> list[str]:
+    """Module-level names bound to a WeakValueDictionary, plain or as
+    weakref.WeakValueDictionary, annotated or not."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not isinstance(node.value, ast.Call):
+            continue
+        func = node.value.func
+        if getattr(func, "attr", getattr(func, "id", "")) == "WeakValueDictionary":
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(out)
+
+
+def documented_interners(readme: str) -> list[str]:
+    """module.name for each interner the library map names as "`name` interns"."""
+    return _named_in_library_map(readme, "interns")
 
 
 def test_lint_lists_memos_in_source_and_readme():
@@ -354,6 +379,37 @@ def test_every_memo_is_named_in_the_library_map():
     )
     assert len(memos) == 2
     assert documented_memos((REPO / "README.md").read_text(encoding="utf-8")) == memos
+
+
+def test_lint_lists_weak_interners_in_source_and_readme():
+    source = (
+        "import weakref\nfrom weakref import WeakKeyDictionary, WeakValueDictionary\n\n"
+        "_A = WeakValueDictionary()\n"
+        "B: dict = weakref.WeakValueDictionary()\n"
+        "_C = _D = WeakValueDictionary()\n"
+        "_E = {}\n_F = WeakKeyDictionary()\n\n"
+        "def g():\n    local = WeakValueDictionary()\n    return local\n"
+    )
+    assert weak_interners(source) == ["B", "_A", "_C", "_D"]
+    readme = (
+        "| module | contents |\n| --- | --- |\n"
+        "| `structlogic.sample` | `_A` interns things by (x), `B` interns others; `c` keyed by (x) |\n"
+        "`_C` interns nothing, outside the table\n"
+    )
+    assert documented_interners(readme) == ["sample.B", "sample._A"]
+    assert documented_memos(readme) == ["sample.c"]
+
+
+def test_every_weak_interner_is_named_in_the_library_map():
+    """Weak interners are the one kind of module-level table besides the two
+    bounded memos; each is named in the README with what it interns by."""
+    interners = sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in weak_interners(path.read_text(encoding="utf-8"))
+    )
+    assert len(interners) == 3
+    assert documented_interners((REPO / "README.md").read_text(encoding="utf-8")) == interners
 
 
 def long_options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:

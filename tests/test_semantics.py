@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from types import FunctionType
 
 import pytest
@@ -11,6 +12,7 @@ from structlogic.axiomatizer import tarski_universal_theory
 from structlogic.classspec import Caps
 from structlogic.corpus import BUILDERS, bare_set
 from structlogic.errors import (
+    ArityError,
     AssignmentError,
     CapacityError,
     DomainError,
@@ -19,6 +21,8 @@ from structlogic.errors import (
 )
 from structlogic.semantics import (
     MAX_ELEM_FREE_VARS,
+    _sweep,
+    _swept,
     elem_F,
     elem_F_star,
     enumerate_models,
@@ -31,6 +35,7 @@ from structlogic.structures import (
     decorated,
     enumerate_hereditary,
     enumerate_structures,
+    normalize,
 )
 from structlogic.syntax import (
     UNBOUNDED,
@@ -46,6 +51,7 @@ from structlogic.syntax import (
     Or,
     Theory,
     Var,
+    audit_formula,
     qstruct,
     subformula_closure,
 )
@@ -465,3 +471,74 @@ def test_elem_F_raises_on_a_malformed_quantifier_free_member():
     frag = Fragment(frozenset({Atomic("gt", (Var("a"), Var("b")))}))
     with pytest.raises(SignatureError, match="unknown relation symbol 'gt'"):
         elem_F(chain(2).induced({0}), chain(2), frag)
+
+
+def test_a_wrong_arity_atom_raises_the_audits_arity_error():
+    c = chain(2)
+    atom = Atomic("lt", (Var("a"),))
+    with pytest.raises(ArityError) as audit:
+        audit_formula(atom, LT)
+    want = re.escape(str(audit.value))
+    inside_a_sweep = Forall("b", Or((lt("b", "b"), Exists("d", And((lt("a", "d"), atom))))))
+    in_a_quantifier = qstruct(chain(1), "y", (), And((lt("a", "y"), atom)), ())
+    for phi in (atom, inside_a_sweep, in_a_quantifier):
+        with pytest.raises(ArityError, match=want):
+            ev(c, phi, {"a": 0})
+    with pytest.raises(ArityError, match=want):
+        elem_F(c.induced({0}), c, Fragment(frozenset({atom})))
+    # the table is still read only when needed, and an unknown symbol keeps its error
+    assert ev(c, Or((Equal(Var("a"), Var("a")), atom)), {"a": 0})
+    with pytest.raises(SignatureError):
+        ev(c, Atomic("gt", (Var("a"),)), {"a": 0})
+
+
+def test_alpha_variant_binders_share_one_sweep_and_its_entries():
+    # binders that differ only in variable names, like the guards
+    # qstruct_to_counting relativizes to each bound variable, compile to one
+    # function of their parameters' values
+    first = Exists("w", And((lt("u1", "w"), lt("w", "z"))))
+    second = Exists("v", And((lt("u2", "v"), lt("v", "z"))))
+    assert _sweep(first) is _sweep(second)
+    c = chain(4)
+    c.memo = memo = CountedMemo()
+    # under a loop whose variable they do not use, each is swept, not inlined
+    assert ev(c, Forall("t", Or((lt("t", "t"), first))), {"u1": 0, "z": 3})
+    assert ev(c, Forall("t", Or((lt("t", "t"), second))), {"u2": 0, "z": 3})
+    assert memo.sweeps() == 1
+    # a structure quantifier in the body binds no list of its own, so they share too
+    q = exists_n(1)
+    guarded = [Exists(v, And((lt(v, "x"), q))) for v in ("w", "v")]
+    assert _sweep(guarded[0]) is _sweep(guarded[1])
+    # another shape, or the same shape over another symbol, is another sweep
+    assert _sweep(first) is not _sweep(Exists("w", And((lt("w", "u1"), lt("w", "z")))))
+    other_symbol = Exists("w", And((Atomic("le", (Var("u1"), Var("w"))), lt("w", "z"))))
+    assert _sweep(first) is not _sweep(other_symbol)
+
+
+def test_equal_sets_within_one_structure_are_one_object():
+    c = chain(4)
+    # the points below the top, whatever z is
+    phi = And((Exists("y", lt("x", "y")), Equal(Var("z"), Var("z"))))
+    sets = [solution_set(c, phi, "x", {"z": z}) for z in range(4)]
+    assert sets[0] == frozenset({0, 1, 2})
+    assert all(s is sets[0] for s in sets)
+    assert solution_set(c, lt("x", "w"), "x", {"w": 3}) is sets[0]
+    # a side set equal to the main set is the main set's object
+    q = qstruct(decorated(chain(3), ({0, 1, 2},)), "x", ("y",), lt("x", "w"), (lt("y", "w"),))
+    main, (side,) = _swept(c, _sweep(q), (3,))
+    assert main is sets[0] and side is main
+    # another structure keeps its own objects, which die with it
+    other = chain(4)
+    assert solution_set(other, phi, "x", {"z": 0}) == sets[0]
+    assert solution_set(other, phi, "x", {"z": 0}) is not sets[0]
+
+
+def test_every_memo_key_is_a_tuple():
+    c = chain(4)
+    q = qstruct(decorated(chain(2), ({0},)), "x", ("y",), lt("x", "z"), (lt("y", "w"),))
+    phi = Forall("z", Or((Not(q), Exists("w", lt("w", "z")), exists_n(2))))
+    ev(c, phi, {"w": 1, "x": 3})
+    elem_F_star(c.induced({0, 1, 2}), c, subformula_closure(phi.body))
+    normalize(decorated(c, ({0},)))
+    assert len(c.memo) > 3
+    assert all(isinstance(key, tuple) for key in c.memo)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,17 @@ def test_raw_cap_counts_pruned_extensions_too(vocab, max_size, keep):
     assert (err.value.count, err.value.limit) == (raw, raw - 1)
 
 
+def test_raw_cap_is_checked_before_the_extension_space_is_built():
+    # a relation of arity 4 gives each of the 32896 types of size 2 2 ** 65
+    # extensions to size 3: the cap must raise before one of them is built
+    quaternary = Vocabulary({"R": 4})
+    with pytest.raises(CapacityError) as err:
+        list(enumerate_structures(quaternary, 3, up_to_iso=True))
+    assert (err.value.count, err.value.limit) == (2 + 2**16 + 32896 * 2**65, 5_000_000)
+    # a size with no representative ends the growth: nothing of size 3 is built
+    assert [s.size for s in enumerate_hereditary(quaternary, 3, lambda s: s.size < 1)] == [0]
+
+
 def test_orbit_pruning_pins_the_label_searches(monkeypatch):
     # labelling every extension the invariant filter passes took 3975 and 687 searches
     calls, least, counting = [], structures._least_labelling, [True]
@@ -415,6 +427,97 @@ def test_derived_structures_pass_the_constructor_checks(vocab):
             assert reduct(wide, vocab) == s
             assert_valid(normalize(s))
             assert_valid(normalize(decorated(wide, [frozenset(range(size // 2))])).base)
+
+
+def eager_key(s):
+    """The key as the constructor built it when every structure was keyed at birth."""
+    return (
+        s.vocab.key,
+        tuple(sorted(s.universe)),
+        tuple((n, tuple(sorted(s.rel(n)))) for n in s.vocab.relation_names()),
+        tuple((n, tuple(sorted(s.fun(n).items()))) for n in s.vocab.function_names()),
+    )
+
+
+def from_key(vocab, key):
+    """A fresh structure built by the constructor from an eager key."""
+    _, elements, rels, funs = key
+    return FiniteStructure(vocab, elements, dict(rels), {n: dict(t) for n, t in funs})
+
+
+def assert_keys_are_eager(structures, first_reads=("key", "hash", "eq", "elements")):
+    """Each structure's key, hash, elements, equalities and sort order are those
+    of its eager key, whichever of them is read first on a fresh structure."""
+    eager = [eager_key(s) for s in structures]
+    reads = {
+        "key": lambda s, k: s.key == k,
+        "hash": lambda s, k: hash(s) == hash(k),
+        "eq": lambda s, k: s == from_key(s.vocab, k),
+        "elements": lambda s, k: s.elements == k[1],
+    }
+    for s, k in zip(structures, eager):
+        assert all(reads[name](s, k) for name in first_reads)
+        assert all(reads[name](s, k) for name in reads)
+    for (a, ka), (b, kb) in itertools.product(zip(structures, eager), repeat=2):
+        assert (a == b) == (ka == kb)
+        assert (hash(a) == hash(b)) >= (ka == kb)
+    assert [eager_key(s) for s in sorted(structures, key=attrgetter("key"))] == sorted(eager)
+
+
+KEYED_VOCABS = [GRAPH, *DERIVED_VOCABS, Vocabulary({"E": 2, "P": 1}, {"f": 1})]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_keys_built_on_demand_equal_the_eager_key(data):
+    vocab = data.draw(st.sampled_from(KEYED_VOCABS))
+    size = data.draw(st.integers(1 if vocab.has_constants() else 0, 4))
+    elems = sorted(data.draw(st.sets(st.integers(0, 11), min_size=size, max_size=size)))
+    cell = st.sampled_from(elems) if elems else st.nothing()
+    rels = {
+        n: data.draw(st.sets(st.tuples(*[cell] * vocab.rel_arity(n)), max_size=6)) if elems else set()
+        for n in vocab.relation_names()
+    }
+    funs = {
+        n: {t: data.draw(cell) for t in itertools.product(elems, repeat=vocab.fun_arity(n))}
+        for n in vocab.function_names()
+    }
+    s = FiniteStructure(vocab, elems, rels, funs)
+    twin = FiniteStructure(vocab, elems, rels, funs)
+    seed = data.draw(st.sets(st.sampled_from(elems), max_size=2)) if elems else set()
+    ids = data.draw(st.permutations(range(20, 20 + size)))
+    wider = vocab.union(Vocabulary({"Q": 1}))
+    derived = [
+        s,
+        twin,
+        generated_substructure(s, seed),
+        relabel(s, dict(zip(elems, ids))),
+        expand(s, wider, {"Q": {(e,) for e in seed}}),
+        reduct(s, Vocabulary(vocab.relations)),
+        normalize(s),
+    ]
+    order = data.draw(st.permutations(["key", "hash", "eq", "elements"]))
+    assert_keys_are_eager(derived, order)
+
+
+def test_enumerated_keys_equal_the_eager_key():
+    loopless = lambda s: all(a != b for a, b in s.rel("E"))  # noqa: E731
+    up_to_iso = [
+        list(enumerate_structures(GRAPH, 3, up_to_iso=True)),
+        list(enumerate_structures(UNARY_FUN, 3, up_to_iso=True)),
+        list(enumerate_hereditary(Vocabulary({"E": 2, "P": 1}), 3, loopless)),
+    ]
+    others = [
+        list(enumerate_structures(WITH_CONSTANT, 2)),
+        enumerate_expansions(chain(3), Vocabulary({"lt": 2, "P": 1})),
+    ]
+    for found in up_to_iso + others:
+        assert_keys_are_eager(found)
+    for found in up_to_iso:
+        # within each size, representatives come sorted by key
+        for _, group in itertools.groupby(found, key=attrgetter("size")):
+            keys = [eager_key(s) for s in group]
+            assert keys == sorted(keys)
 
 
 def test_expand_takes_one_table_per_added_symbol():
