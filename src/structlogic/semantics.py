@@ -337,7 +337,9 @@ def _sweep(phi: Exists | Forall | QStruct):
         test = src.expr(body, {**names, phi.var: local}, frozenset((local,)))[0]
         lines = [f"for {local} in E:", f"    if {test}:", f"        return {exists}"]
         sweep = src.build([*lines, f"return {not exists}"])
-        # alpha-variant nodes compile to one function of their parameters' values
+        # alpha-variant nodes compile to one function of their parameters'
+        # values, which each caller passes in its own variables' order; its
+        # `variables` are the first node's names, so no caller reads them
         sweep = _BINDER_SWEEPS.setdefault((sweep.__code__, sweep.__defaults__), sweep)
     object.__setattr__(phi, "_sweep", sweep)
     return sweep
