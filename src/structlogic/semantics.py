@@ -30,12 +30,16 @@ alpha-variant nodes, such as the relativized guards `qstruct_to_counting`
 copies per bound variable, share one sweep and its entries; structure
 quantifiers' sweeps by their slots (`_SLOT_SWEEPS`), so the disjuncts of a
 type disjunction share one entry; and targets by key (`_TARGETS`).  A
-structure quantifier's sweep gives its main and side solution sets, each one
-object per equal set within the structure (`_shared`).  `_matches` compares
-them with the target's row counts and canonical rows: it reads n's rows of
-the target's symbols inside the main set, rejects on sizes, closure and row
-counts, and labels only a part that passes, building no structure; its
-verdicts live in the structure's memo.
+structure quantifier's sweep gives its main and side solution sets as int
+masks over the structure's elements, bit i standing for n.elements[i], so
+each set is one int and needs no sharing table.  `_matches` compares
+them with the target's row counts and canonical rows: it rejects on the main
+set's size and the side sets' containment in it, on ints; any other verdict
+reads n's rows of the target's symbols inside the main set's elements,
+rejects on closure and row counts, and labels only a part that passes,
+building no structure, and lives in the structure's memo.  Masks become
+elements only there and in `solution_set`; `elem_F_star` compares a part's
+masks with its host's by moving them onto the host's elements.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -351,7 +355,8 @@ _SLOT_SWEEPS = WeakValueDictionary()
 
 
 def _slot_sweep(slots: tuple):
-    """The sweep (structure, parameter values) -> (main set, side sets) of the slots.
+    """The sweep (structure, parameter values) -> (main set, side sets) of the
+    slots, each set a mask over the structure's elements (see `_members`).
 
     One function per equal slots tuple while any quantifier or memo entry
     holds it, so quantifiers with equal slots share `_swept` entries.
@@ -366,27 +371,16 @@ def _slot_sweep(slots: tuple):
     for x, body in slots:
         local = src.local()
         test = src.expr(body, {**names, x: local}, frozenset((local,)))[0]
-        sets.append(f"frozenset([{local} for {local} in E if {test}])")
+        sets.append(f"sum([1 << i for i, {local} in enumerate(E) if {test}])")
     main, *sides = sets
-    sweep = _SLOT_SWEEPS[slots] = src.build([f"return _shared(n, {main}, {_tuple(sides)})"])
+    sweep = _SLOT_SWEEPS[slots] = src.build([f"return {main}, {_tuple(sides)}"])
     return sweep
 
 
-# the memo key of a structure's shared sets; every other key is a tuple of
-# frozensets (labellings) or starts with a sweep or a MatchTarget
-_SETS = ("shared sets",)
-
-
-def _shared(n: FiniteStructure, main: frozenset, sides: tuple):
-    """main and sides as the objects n's memo already holds for equal sets, so
-    each set a slot sweep finds in n is one object however often it recurs."""
-    shared = n.memo.get(_SETS)
-    if shared is None:
-        shared = n.memo[_SETS] = {}
-    main = shared.setdefault(main, main)
-    if sides:
-        sides = tuple(map(shared.setdefault, sides, sides))
-    return main, sides
+def _members(n: FiniteStructure, mask: int) -> frozenset:
+    """The elements of n that a mask over n holds: bit i is n.elements[i]."""
+    elems = n.elements
+    return frozenset([elems[i] for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def _swept(n: FiniteStructure, sweep, values: tuple):
@@ -413,15 +407,24 @@ def _target(target: DecoratedStructure) -> MatchTarget:
     return found
 
 
-def _matches(n: FiniteStructure, target: MatchTarget, main: frozenset, sides: tuple) -> bool:
-    """Whether main, decorated by sides, induces a copy of the target in n, kept
-    in n's memo: `induces_copy`, which reads n's rows of the target's symbols,
-    rejects on sizes, closure and row counts, and labels only a part that
-    passes them, building no structure and leaving no labelling entry."""
+def _matches(n: FiniteStructure, target: MatchTarget, main: int, sides: tuple) -> bool:
+    """Whether main, decorated by sides, induces a copy of the target in n; the
+    sets are masks over n's elements.  A main set of another size, or a side
+    set outside it, is rejected at once; any other verdict is kept in n's memo:
+    `induces_copy` of the sets' elements, which reads n's rows of the target's
+    symbols, rejects on closure, sizes and row counts, and labels only a part
+    that passes them, building no structure and leaving no labelling entry."""
+    if main.bit_count() != target.size:
+        return False
+    for side in sides:
+        if side & ~main:
+            return False
     key = target, main, sides
     found = n.memo.get(key)
     if found is None:
-        found = n.memo[key] = induces_copy(n, target, main, sides)
+        found = n.memo[key] = induces_copy(
+            n, target, _members(n, main), tuple([_members(n, side) for side in sides])
+        )
     return found
 
 
@@ -430,7 +433,6 @@ _RUNTIME = {
     "_function_table": _function_table,
     "_matches": _matches,
     "_relation_table": _relation_table,
-    "_shared": _shared,
     "_swept": _swept,
 }
 
@@ -471,7 +473,7 @@ def solution_set(
 ) -> frozenset[int]:
     """The set of elements e with phi true at x := e under the assignment."""
     sweep = _slot_sweep(((x, phi),))
-    return _swept(n, sweep, _values(n, phi, sweep.variables, a, kappa))[0]
+    return _members(n, _swept(n, sweep, _values(n, phi, sweep.variables, a, kappa))[0])
 
 
 def models(
@@ -607,6 +609,7 @@ def elem_F_star(
     if not base:
         return base
     elems = n1.elements
+    moved = None
     for chi in f.qstruct_members():
         # elem_F has checked chi and evaluated it here in both structures, so
         # these are the stored sets and none of them can raise
@@ -614,13 +617,52 @@ def elem_F_star(
         variables = sweep.variables
         for values in product(elems, repeat=len(variables)):
             main1, sides1 = _swept(n1, sweep, values)
-            if not kappa.counts_as_small(len(main1)):
+            if not kappa.counts_as_small(main1.bit_count()):
                 continue
             main2, sides2 = _swept(n2, sweep, values)
-            pairs = zip((None, *chi.yvars), (main1, *sides1), (main2, *sides2))
-            for y, set1, set2 in pairs:
-                if set1 != set2:
-                    where = tuple(zip(variables, values))
-                    detail = "main solution set" if y is None else f"side solution set for {y!r}"
-                    return ElemReport(False, "solution-set-change", chi, where, detail=detail)
+            if moved is None:
+                moved = _moved_masks(n1, n2)
+            if moved[main1] != main2:
+                detail = "main solution set"
+            else:
+                for y, set1, set2 in zip(chi.yvars, sides1, sides2):
+                    if moved[set1] != set2:
+                        detail = f"side solution set for {y!r}"
+                        break
+                else:
+                    continue
+            where = tuple(zip(variables, values))
+            return ElemReport(False, "solution-set-change", chi, where, detail=detail)
     return _OK
+
+
+# the largest substructure whose masks elem_F_star moves by a full table
+_MOVED_TABLE_SIZE = 8
+
+
+class _MovedMasks(dict):
+    """Masks over a substructure's elements, moved to its parent's on first use."""
+
+    __slots__ = ("bits",)
+
+    def __missing__(self, mask: int) -> int:
+        bits = self.bits
+        moved = self[mask] = sum([bits[i] for i in range(mask.bit_length()) if mask >> i & 1])
+        return moved
+
+
+def _moved_masks(n1: FiniteStructure, n2: FiniteStructure):
+    """A table sending each mask over n1's elements to the mask of the same
+    elements over n2's, for n1 a substructure of n2: a list built by doubling,
+    one pass per element, for up to _MOVED_TABLE_SIZE elements, and past that a
+    dict filled as masks are read, so no table grows as 2^|n1|."""
+    index = {e: i for i, e in enumerate(n2.elements)}
+    bits = [1 << index[e] for e in n1.elements]
+    if len(bits) > _MOVED_TABLE_SIZE:
+        table = _MovedMasks()
+        table.bits = bits
+        return table
+    table = [0]
+    for bit in bits:
+        table += [mask | bit for mask in table]
+    return table

@@ -512,8 +512,8 @@ def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides
     """Whether main, decorated by sides, induces a copy of the target in n.
 
     The target's vocabulary must be a sub-vocabulary of n's, main a frozenset
-    inside n's universe and sides a tuple of frozensets, as a formula's sweeps
-    give them; they are not checked.  Only n's tables of the target's symbols
+    inside n's universe and sides a tuple of frozensets, as the evaluator's
+    `_matches` gives them; they are not checked.  Only n's tables of the target's symbols
     are read, and nothing is built.  In turn: main's size and the sides'
     containment in main; main's closure under the target's functions; past
     CANONICAL_SIZE_CAP, CapacityError; the sides' sizes and each relation's

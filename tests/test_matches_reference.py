@@ -1,8 +1,9 @@
 """The structure quantifier's match against the part-building match it replaced.
 
-`semantics._matches` reads n's rows of the target's symbols inside the main
-set, rejects on sizes, closure and row counts, and labels only a part that
-passes them, without building a structure.  `reference_matches` (from
+`semantics._matches` takes the main and side sets as masks over n's
+elements, as a sweep gives them.  It reads n's rows of the target's symbols
+inside the main set, rejects on sizes, closure and row counts, and labels
+only a part that passes them, without building a structure.  `reference_matches` (from
 `test_eval_reference`) builds the reduct and the induced part and compares
 canonical keys.  Verdicts, or the errors raised, must be the same: on random
 structures over relational and function vocabularies (constants and a
@@ -51,8 +52,14 @@ def outcome(fn, *args):
         return CapacityError, str(exc)
 
 
+def mask(n: FiniteStructure, elements) -> int:
+    """elements as a sweep gives them to `_matches`: bit i is n.elements[i]."""
+    return sum(1 << i for i, e in enumerate(n.elements) if e in elements)
+
+
 def engine(n, target, main, sides):
-    return outcome(_matches, n, _target(target), main, sides)
+    sides = tuple(mask(n, side) for side in sides)
+    return outcome(_matches, n, _target(target), mask(n, main), sides)
 
 
 def reference(n, target, main, sides):

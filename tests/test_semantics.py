@@ -36,6 +36,7 @@ from structlogic.structures import (
     enumerate_hereditary,
     enumerate_structures,
     normalize,
+    relabel,
 )
 from structlogic.syntax import (
     UNBOUNDED,
@@ -515,22 +516,20 @@ def test_alpha_variant_binders_share_one_sweep_and_its_entries():
     assert _sweep(first) is not _sweep(other_symbol)
 
 
-def test_equal_sets_within_one_structure_are_one_object():
-    c = chain(4)
-    # the points below the top, whatever z is
-    phi = And((Exists("y", lt("x", "y")), Equal(Var("z"), Var("z"))))
-    sets = [solution_set(c, phi, "x", {"z": z}) for z in range(4)]
-    assert sets[0] == frozenset({0, 1, 2})
-    assert all(s is sets[0] for s in sets)
-    assert solution_set(c, lt("x", "w"), "x", {"w": 3}) is sets[0]
-    # a side set equal to the main set is the main set's object
-    q = qstruct(decorated(chain(3), ({0, 1, 2},)), "x", ("y",), lt("x", "w"), (lt("y", "w"),))
-    main, (side,) = _swept(c, _sweep(q), (3,))
-    assert main is sets[0] and side is main
-    # another structure keeps its own objects, which die with it
-    other = chain(4)
-    assert solution_set(other, phi, "x", {"z": 0}) == sets[0]
-    assert solution_set(other, phi, "x", {"z": 0}) is not sets[0]
+def test_a_sweep_holds_its_sets_as_masks_over_the_elements():
+    # bit i of a mask is the structure's i-th element in increasing order, so
+    # on ids that do not start at 0 a bit index is not the element it stands for
+    c = relabel(chain(4), {0: 10, 1: 40, 2: 70, 3: 99})
+    q = qstruct(decorated(chain(3), ({0, 1},)), "x", ("y",), lt("x", "w"), (lt("y", "v"),))
+    # the sweep's parameters are v and w, in that order
+    assert _swept(c, _sweep(q), (70, 99)) == (0b0111, (0b0011,))
+    assert _swept(c, _sweep(q), (40, 10)) == (0, (0b0001,))
+    # the public boundary gives elements
+    assert solution_set(c, lt("x", "w"), "x", {"w": 99}) == frozenset({10, 40, 70})
+    assert solution_set(c, lt("x", "w"), "x", {"w": 10}) == frozenset()
+    assert solution_set(chain(0), Equal(Var("x"), Var("x")), "x") == frozenset()
+    # a binder's sweep holds its truth value
+    assert _swept(c, _sweep(Exists("y", lt("x", "y"))), (70,)) is True
 
 
 def test_every_memo_key_is_a_tuple():
