@@ -32,6 +32,7 @@ from structlogic.semantics import (
 from structlogic.semantics import eval as ev
 from structlogic.structures import (
     FiniteStructure,
+    MatchTarget,
     decorated,
     enumerate_hereditary,
     enumerate_structures,
@@ -530,6 +531,41 @@ def test_a_sweep_holds_its_sets_as_masks_over_the_elements():
     assert solution_set(chain(0), Equal(Var("x"), Var("x")), "x") == frozenset()
     # a binder's sweep holds its truth value
     assert _swept(c, _sweep(Exists("y", lt("x", "y"))), (70,)) is True
+
+
+def test_sweep_and_match_entries_hold_ints_and_no_frozensets():
+    # a structure quantifier (one side set) under binders, a swept binder, an
+    # inlined one, and the starred check of a part on scattered ids
+    c = relabel(chain(5), {0: 50, 1: 12, 2: 77, 3: 31, 4: 64})
+    q = qstruct(decorated(chain(2), ({0},)), "x", ("y",), lt("x", "z"), (lt("y", "w"),))
+    phi = Forall("z", Or((Not(q), Exists("w", lt("w", "z")), exists_n(2))))
+    part = c.induced({50, 12, 31})
+    for s in (c, part):
+        for w in sorted(s.universe):
+            ev(s, phi, {"w": w, "x": min(s.universe)})
+        solution_set(s, q, "w", {"z": max(s.universe)})
+    elem_F_star(part, c, subformula_closure(phi.body))
+    for s in (c, part):
+        kinds = set()
+        for key, value in s.memo.items():
+            if isinstance(key[0], FunctionType):
+                assert type(value) is bool or (
+                    type(value) is tuple
+                    and type(value[0]) is int
+                    and type(value[1]) is tuple
+                    and all(type(side) is int for side in value[1])
+                ), (key, value)
+                kinds.add(type(value))
+            else:
+                target, main, sides = key
+                assert isinstance(target, MatchTarget) and type(value) is bool
+                assert type(main) is int and all(type(side) is int for side in sides)
+                kinds.add(MatchTarget)
+        assert kinds == {bool, tuple, MatchTarget}
+        # only a labelling entry, which these calls leave none of, holds a frozenset
+        assert not any(
+            isinstance(item, frozenset) for key, value in s.memo.items() for item in (*key, value)
+        )
 
 
 def test_every_memo_key_is_a_tuple():
