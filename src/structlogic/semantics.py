@@ -377,10 +377,14 @@ def _slot_sweep(slots: tuple):
     return sweep
 
 
+def _picked(items, mask: int) -> list:
+    """The items at mask's set bits, lowest bit first."""
+    return [items[i] for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _members(n: FiniteStructure, mask: int) -> frozenset:
     """The elements of n that a mask over n holds: bit i is n.elements[i]."""
-    elems = n.elements
-    return frozenset([elems[i] for i in range(mask.bit_length()) if mask >> i & 1])
+    return frozenset(_picked(n.elements, mask))
 
 
 def _swept(n: FiniteStructure, sweep, values: tuple):
@@ -410,7 +414,9 @@ def _target(target: DecoratedStructure) -> MatchTarget:
 def _matches(n: FiniteStructure, target: MatchTarget, main: int, sides: tuple) -> bool:
     """Whether main, decorated by sides, induces a copy of the target in n; the
     sets are masks over n's elements.  A main set of another size, or a side
-    set outside it, is rejected at once; any other verdict is kept in n's memo:
+    set outside it, is rejected at once, on the masks: these are
+    `induces_copy`'s first two refusals, made here so that they take no memo
+    entry.  Any other verdict is kept in n's memo:
     `induces_copy` of the sets' elements, which reads n's rows of the target's
     symbols, rejects on closure, sizes and row counts, and labels only a part
     that passes them, building no structure and leaving no labelling entry."""
@@ -621,7 +627,7 @@ def elem_F_star(
                 continue
             main2, sides2 = _swept(n2, sweep, values)
             if moved is None:
-                moved = _moved_masks(n1, n2)
+                moved = _MovedMasks(n1, n2)
             if moved[main1] != main2:
                 detail = "main solution set"
             else:
@@ -636,33 +642,17 @@ def elem_F_star(
     return _OK
 
 
-# the largest substructure whose masks elem_F_star moves by a full table
-_MOVED_TABLE_SIZE = 8
-
-
 class _MovedMasks(dict):
-    """Masks over a substructure's elements, moved to its parent's on first use."""
+    """Masks over a substructure's elements, each moved to the mask of the same
+    elements over its parent's on first use, so the table holds only the masks
+    read and never grows as 2^|part|."""
 
     __slots__ = ("bits",)
 
+    def __init__(self, n1: FiniteStructure, n2: FiniteStructure):
+        index = {e: i for i, e in enumerate(n2.elements)}
+        self.bits = [1 << index[e] for e in n1.elements]
+
     def __missing__(self, mask: int) -> int:
-        bits = self.bits
-        moved = self[mask] = sum([bits[i] for i in range(mask.bit_length()) if mask >> i & 1])
+        moved = self[mask] = sum(_picked(self.bits, mask))
         return moved
-
-
-def _moved_masks(n1: FiniteStructure, n2: FiniteStructure):
-    """A table sending each mask over n1's elements to the mask of the same
-    elements over n2's, for n1 a substructure of n2: a list built by doubling,
-    one pass per element, for up to _MOVED_TABLE_SIZE elements, and past that a
-    dict filled as masks are read, so no table grows as 2^|n1|."""
-    index = {e: i for i, e in enumerate(n2.elements)}
-    bits = [1 << index[e] for e in n1.elements]
-    if len(bits) > _MOVED_TABLE_SIZE:
-        table = _MovedMasks()
-        table.bits = bits
-        return table
-    table = [0]
-    for bit in bits:
-        table += [mask | bit for mask in table]
-    return table

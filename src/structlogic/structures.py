@@ -519,7 +519,9 @@ def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides
     CANONICAL_SIZE_CAP, CapacityError; the sides' sizes and each relation's
     row count inside main.  A part that passes them all, and whose rows indexed
     in main's order are not already the target's canonical rows, is labelled
-    by _canonical_rows; the labelling memo is not touched.
+    by _canonical_rows; the labelling memo is not touched.  `_matches` makes
+    the first two refusals on masks before it calls here, so that its memo
+    keeps no entry for them; they stay here for any other caller.
     """
     m = target.size
     if len(main) != m or not all(side <= main for side in sides):

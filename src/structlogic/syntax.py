@@ -279,16 +279,9 @@ def is_quantifier_free(phi: Formula) -> bool:
 
 
 def has_qstruct(phi: Formula) -> bool:
-    """Whether phi holds a structure quantifier, kept on each Exists/Forall
-    node; the connectives between two binders are walked on each call."""
-    if isinstance(phi, (Exists, Forall)):
-        try:
-            return phi._has_qstruct
-        except AttributeError:
-            found = has_qstruct(phi.body)
-            object.__setattr__(phi, "_has_qstruct", found)
-            return found
-    return isinstance(phi, QStruct) or any(has_qstruct(c) for c in children(phi))
+    if isinstance(phi, QStruct):
+        return True
+    return any(has_qstruct(c) for c in children(phi))
 
 
 def qstruct_nodes(phi: Formula):

@@ -4,13 +4,12 @@ A slot sweep gives a structure quantifier's main and side solution sets as
 ints, bit i standing for the structure's i-th element in increasing order.
 `solution_set` turns a main mask back into elements, and `elem_F_star`
 compares a part's masks with its host's by moving them onto the host's
-elements: through a full table for parts of up to `_MOVED_TABLE_SIZE`
-elements, and through a dict filled as masks are read past that.  The sets
+elements, through a dict filled as masks are read.  The sets
 must be the oracle's (`oracles.oracle_eval`), and the starred reports,
 witness and detail included, those of a frozenset reference written here:
 on structures relabelled onto scattered ids in 10-99, so that no bit index
 is the element it stands for, at Unbounded, Finite(2) and Finite(3), for
-parts of every size from 0 to 8 and for parts past the full table.
+parts of every size from 0 to 10.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from oracles import oracle_eval
 from structlogic.errors import CapacityError, KappaError
 from structlogic.formats import print_formula
 from structlogic.semantics import (
-    _MOVED_TABLE_SIZE,
     ElemReport,
-    _moved_masks,
+    _MovedMasks,
     _sweep,
     _swept,
     elem_F_star,
@@ -169,16 +167,15 @@ def _verdict(got) -> str:
     return got[-1] or got[1] if len(got) > 2 else got[0]
 
 
-def test_parts_of_every_size_and_past_the_table_agree_with_the_reference():
+def test_parts_of_every_size_agree_with_the_reference():
     rng = random.Random(27)
     frag = subformula_closure(list(_members()))
     seen = set()
     for _ in range(3):
-        host = _digraph(rng, _MOVED_TABLE_SIZE + 2)
-        for size in range(_MOVED_TABLE_SIZE + 3):
+        host = _digraph(rng, 10)
+        for size in range(11):
             part = host.induced(rng.sample(sorted(host.universe), size))
-            moved = _moved_masks(part, host)
-            assert isinstance(moved, list) == (size <= _MOVED_TABLE_SIZE)
+            moved = _MovedMasks(part, host)
             for mask in rng.sample(range(1 << size), min(1 << size, 40)):
                 assert elements(host, moved[mask]) == elements(part, mask)
             for kappa in KAPPAS:
@@ -188,12 +185,12 @@ def test_parts_of_every_size_and_past_the_table_agree_with_the_reference():
     assert seen == {"ok", "truth-disagreement", "main solution set", "side solution set for 'y'"}
 
 
-def test_masks_past_the_table_are_moved_only_when_read():
+def test_masks_are_moved_only_when_read():
     rng = random.Random(5)
     host = _digraph(rng, 20)
-    part = host.induced(sorted(host.universe)[3:3 + _MOVED_TABLE_SIZE + 4])
-    moved = _moved_masks(part, host)
-    assert isinstance(moved, dict) and len(moved) == 0
+    part = host.induced(sorted(host.universe)[3:15])
+    moved = _MovedMasks(part, host)
+    assert len(moved) == 0
     masks = rng.sample(range(1 << part.size), 50)
     for mask in masks + masks:
         assert elements(host, moved[mask]) == elements(part, mask)

@@ -4,8 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import oracle_eval
 from structlogic.errors import ArityError, KappaError, ShapeError
@@ -28,7 +26,6 @@ from structlogic.syntax import (
     check_kappa,
     children,
     free_vars,
-    has_qstruct,
     is_forall_qstruct,
     is_quantifier_free,
     or_,
@@ -39,7 +36,6 @@ from structlogic.syntax import (
     substitute,
 )
 from structlogic.vocab import Vocabulary
-from test_eval_reference import formulas
 
 LT = Vocabulary({"lt": 2})
 
@@ -305,24 +301,3 @@ def test_substitution_is_sound_through_every_binder():
                 ), (phi, v, w, env)
     # capture was avoided by renaming at every binder kind
     assert renamed_at == {Exists, Forall, QStruct}
-
-
-def _holds_qstruct(phi) -> bool:
-    return isinstance(phi, QStruct) or any(_holds_qstruct(c) for c in children(phi))
-
-
-def _nodes(phi):
-    yield phi
-    for c in children(phi):
-        yield from _nodes(c)
-
-
-@settings(max_examples=200, deadline=None)
-@given(formulas, st.randoms(use_true_random=False))
-def test_has_qstruct_is_the_recursive_walk_whichever_node_is_asked_first(phi, rng):
-    # has_qstruct keeps its answer on binder nodes; ask the nodes in random
-    # order, twice, so that kept and fresh answers are both compared
-    nodes = list(_nodes(phi))
-    rng.shuffle(nodes)
-    for node in nodes + nodes:
-        assert has_qstruct(node) == _holds_qstruct(node)
