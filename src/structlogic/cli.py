@@ -104,14 +104,11 @@ def _emit_report(report) -> int:
 
 
 def _subformula_walk(phi):
-    """Pre-order walk; each distinct subformula once, in first-visit order."""
-    seen = set()
+    """Pre-order walk, children left to right; a subformula that occurs more
+    than once is visited at each occurrence."""
     stack = [phi]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
         yield node
         stack.extend(reversed(children(node)))
 

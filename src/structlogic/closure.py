@@ -14,7 +14,7 @@ import itertools
 from functools import cached_property, lru_cache
 
 from .classspec import Caps, ModelClassSpec
-from .errors import ArityError, CapacityError, DomainError
+from .errors import ArityError, CapacityError, DomainError, SignatureError
 from .records import record
 from .reports import VerificationReport, structure_witness, subset_witness
 from .structures import DecoratedStructure, FiniteStructure, decorated, normalize
@@ -170,6 +170,8 @@ def cl(
     caps: Caps = Caps(),
 ) -> ClosureResult:
     """Intersection of all strong submodels of n containing the subset a."""
+    if n.vocab != spec.vocabulary:
+        raise SignatureError("closure needs a structure over the class's vocabulary")
     a = frozenset(a)
     if not a <= n.universe:
         raise DomainError("closure seed leaves the universe")

@@ -36,10 +36,11 @@ each set is one int and needs no sharing table.  `_matches` compares
 them with the target's row counts and canonical rows: it rejects on the main
 set's size and the side sets' containment in it, on ints; any other verdict
 reads n's rows of the target's symbols inside the main set's elements,
-rejects on closure and row counts, and labels only a part that passes,
-building no structure, and lives in the structure's memo.  Masks become
-elements only there and in `solution_set`; `elem_F_star` compares a part's
-masks with its host's by moving them onto the host's elements.
+listed in increasing order, rejects on closure and row counts, and labels
+only a part that passes, building no structure, and lives in the
+structure's memo.  Masks become elements only there and in
+`solution_set`; `elem_F_star` compares a part's masks with its host's by
+moving them onto the host's elements.
 
 No formula text enters the source: variables are the locals a0, a1, ..., and
 symbol names, targets and sweeps are the constants c0, c1, ..., bound as the
@@ -356,7 +357,7 @@ _SLOT_SWEEPS = WeakValueDictionary()
 
 def _slot_sweep(slots: tuple):
     """The sweep (structure, parameter values) -> (main set, side sets) of the
-    slots, each set a mask over the structure's elements (see `_members`).
+    slots, each set a mask over the structure's elements: bit i is n.elements[i].
 
     One function per equal slots tuple while any quantifier or memo entry
     holds it, so quantifiers with equal slots share `_swept` entries.
@@ -380,11 +381,6 @@ def _slot_sweep(slots: tuple):
 def _picked(items, mask: int) -> list:
     """The items at mask's set bits, lowest bit first."""
     return [items[i] for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _members(n: FiniteStructure, mask: int) -> frozenset:
-    """The elements of n that a mask over n holds: bit i is n.elements[i]."""
-    return frozenset(_picked(n.elements, mask))
 
 
 def _swept(n: FiniteStructure, sweep, values: tuple):
@@ -414,12 +410,11 @@ def _target(target: DecoratedStructure) -> MatchTarget:
 def _matches(n: FiniteStructure, target: MatchTarget, main: int, sides: tuple) -> bool:
     """Whether main, decorated by sides, induces a copy of the target in n; the
     sets are masks over n's elements.  A main set of another size, or a side
-    set outside it, is rejected at once, on the masks: these are
-    `induces_copy`'s first two refusals, made here so that they take no memo
-    entry.  Any other verdict is kept in n's memo:
-    `induces_copy` of the sets' elements, which reads n's rows of the target's
-    symbols, rejects on closure, sizes and row counts, and labels only a part
-    that passes them, building no structure and leaving no labelling entry."""
+    set outside it, is rejected at once, on the masks, and takes no memo
+    entry.  Any other verdict is kept in n's memo: `induces_copy` of the sets'
+    elements in increasing order, which reads n's rows of the target's
+    symbols, rejects on closure and row counts, and labels only a part that
+    passes them, building no structure and leaving no labelling entry."""
     if main.bit_count() != target.size:
         return False
     for side in sides:
@@ -428,8 +423,9 @@ def _matches(n: FiniteStructure, target: MatchTarget, main: int, sides: tuple) -
     key = target, main, sides
     found = n.memo.get(key)
     if found is None:
+        elems = n.elements
         found = n.memo[key] = induces_copy(
-            n, target, _members(n, main), tuple([_members(n, side) for side in sides])
+            n, target, _picked(elems, main), tuple([_picked(elems, side) for side in sides])
         )
     return found
 
@@ -479,7 +475,8 @@ def solution_set(
 ) -> frozenset[int]:
     """The set of elements e with phi true at x := e under the assignment."""
     sweep = _slot_sweep(((x, phi),))
-    return _members(n, _swept(n, sweep, _values(n, phi, sweep.variables, a, kappa))[0])
+    main, _ = _swept(n, sweep, _values(n, phi, sweep.variables, a, kappa))
+    return frozenset(_picked(n.elements, main))
 
 
 def models(

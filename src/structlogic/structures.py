@@ -291,21 +291,35 @@ def _as_decorated(x) -> DecoratedStructure:
     return x if isinstance(x, DecoratedStructure) else _decorated(x, ())
 
 
-def _labelling_rows(s: FiniteStructure, subsets=()) -> list[list[tuple[int, ...]]]:
-    """s's relations, function graphs (args then value) and subsets as rows of element indices.
+def _part_rows(s: FiniteStructure, part, vocab: Vocabulary, subsets=()):
+    """The rows of vocab's symbols inside part, and the subsets, as indices into part.
 
-    One group per symbol or subset, in encoding order.  Each group has a
-    fixed row count and arity, so comparing two labellings' sorted groups in
-    turn is comparing their (relations, functions, subsets) encodings.
+    part lists elements of s in increasing order, and vocab is a
+    sub-vocabulary of s's; each subset lies inside part.  One group per
+    symbol or subset, in encoding order: relations, function graphs (args
+    then value), subsets.  Each group has a fixed row count and arity, so
+    comparing two labellings' sorted groups in turn is comparing their
+    (relations, functions, subsets) encodings.  None when part is not closed
+    under vocab's functions.
     """
-    index = {e: i for i, e in enumerate(s.elements)}.__getitem__
-    groups = [[tuple(map(index, t)) for t in s.rel(n)] for n in s.vocab.relation_names()]
-    groups += [
-        [(*map(index, args), index(v)) for args, v in s.fun(n).items()]
-        for n in s.vocab.function_names()
+    index = dict(zip(part, range(len(part))))
+    at = index.get
+    graphs = []
+    for name in vocab.function_names():
+        table = s._functions[name]
+        graph = [
+            (*map(at, args), at(table[args]))
+            for args in itertools.product(part, repeat=vocab.fun_arity(name))
+        ]
+        if any(row[-1] is None for row in graph):
+            return None
+        graphs.append(graph)
+    inside = frozenset(part).issuperset
+    groups = [
+        [tuple(map(at, row)) for row in s.relations[name] if inside(row)]
+        for name in vocab.relation_names()
     ]
-    groups += [[(index(e),) for e in subset] for subset in subsets]
-    return groups
+    return groups + graphs + [[(at(e),) for e in subset] for subset in subsets]
 
 
 def _orbits_of(points, generators) -> set:
@@ -420,7 +434,7 @@ def _check_labelling_size(m: int) -> None:
 def _canonical_rows(groups, m: int):
     """Each group's rows under a least labelling of the points 0..m-1, as frozensets, the
     labelling and the automorphisms found: those _least_labelling reaches for groups,
-    the rows of each symbol and subset as _labelling_rows gives them.
+    the rows of each symbol and subset as _part_rows gives them.
 
     Two row lists over one vocabulary give equal frozensets exactly when
     their structures are isomorphic: the frozensets are the canonical copy's
@@ -437,8 +451,7 @@ def _canonical_rows(groups, m: int):
 def _canonical_tables(vocab: Vocabulary, canon_rows, groups, perm):
     """The canonical copy's relations and function tables, from _canonical_rows(groups, m).
 
-    A function table is relabelled from its rows in groups (args then value),
-    so its entries keep the order of the labelled structure's table.
+    A function table is relabelled from its rows in groups (args then value).
     """
     label = perm.__getitem__
     r = len(vocab.relations)
@@ -474,7 +487,7 @@ def _labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ..
     """
     m = d.base.size
     vocab = d.base.vocab
-    groups = _labelling_rows(d.base, d.subsets)
+    groups = _part_rows(d.base, d.base.elements, vocab, d.subsets)
     canon_rows, perm, _ = _canonical_rows(groups, m)
     rels, funs = _canonical_tables(vocab, canon_rows, groups, perm)
     subsets = tuple(frozenset([c for (c,) in rows]) for rows in canon_rows[len(rels) + len(funs):])
@@ -484,70 +497,46 @@ def _labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ..
 
 class MatchTarget:
     """A decorated structure as induces_copy compares parts with it: its size,
-    each relation's and subset's row count, its functions' arities and its
-    canonical rows, None past CANONICAL_SIZE_CAP, where no part of its size
-    can be labelled.  Hashed by identity.  `vocab` is the target's vocabulary,
-    and `admitted` the last structure vocabulary the evaluator checked it
-    against.
+    the row count of each group _part_rows gives for it, and its canonical
+    rows, None past CANONICAL_SIZE_CAP, where no part of its size can be
+    labelled.  Hashed by identity.  `vocab` is the target's vocabulary, and
+    `admitted` the last structure vocabulary the evaluator checked it against.
     """
 
-    __slots__ = (
-        "vocab", "admitted", "size", "relations", "functions", "side_counts", "rows", "__weakref__"
-    )
+    __slots__ = ("vocab", "admitted", "size", "counts", "rows", "__weakref__")
 
     def __init__(self, target: DecoratedStructure):
         base = target.base
         vocab, m = base.vocab, base.size
-        groups = _labelling_rows(base, target.subsets)
-        counts = tuple(map(len, groups))
+        groups = _part_rows(base, base.elements, vocab, target.subsets)
         self.vocab, self.admitted = vocab, None
         self.size = m
-        self.relations = tuple(zip(vocab.relation_names(), counts))
-        self.functions = tuple((n, vocab.fun_arity(n)) for n in vocab.function_names())
-        self.side_counts = counts[len(self.relations) + len(self.functions):]
+        self.counts = tuple(map(len, groups))
         self.rows = None if m > CANONICAL_SIZE_CAP else _canonical_rows(groups, m)[0]
 
 
-def induces_copy(n: FiniteStructure, target: MatchTarget, main: frozenset, sides: tuple) -> bool:
+def induces_copy(n: FiniteStructure, target: MatchTarget, main, sides: tuple) -> bool:
     """Whether main, decorated by sides, induces a copy of the target in n.
 
-    The target's vocabulary must be a sub-vocabulary of n's, main a frozenset
-    inside n's universe and sides a tuple of frozensets, as the evaluator's
-    `_matches` gives them; they are not checked.  Only n's tables of the target's symbols
-    are read, and nothing is built.  In turn: main's size and the sides'
-    containment in main; main's closure under the target's functions; past
-    CANONICAL_SIZE_CAP, CapacityError; the sides' sizes and each relation's
-    row count inside main.  A part that passes them all, and whose rows indexed
-    in main's order are not already the target's canonical rows, is labelled
-    by _canonical_rows; the labelling memo is not touched.  `_matches` makes
-    the first two refusals on masks before it calls here, so that its memo
-    keeps no entry for them; they stay here for any other caller.
+    As the evaluator's `_matches` gives them: the target's vocabulary is a
+    sub-vocabulary of n's, main lists target.size of n's elements in
+    increasing order, and sides is a tuple of such lists inside main; none of
+    this is checked here, since `_matches` rejects other sets on its masks.
+    Only n's tables of the target's symbols are read, and nothing is built.
+    In turn: main's closure under the target's functions; past
+    CANONICAL_SIZE_CAP, CapacityError; the row count of each relation and
+    side set.  A part that passes them all, and whose rows indexed in main's
+    order are not already the target's canonical rows, is labelled by
+    _canonical_rows; the labelling memo is not touched.
     """
-    m = target.size
-    if len(main) != m or not all(side <= main for side in sides):
+    groups = _part_rows(n, main, target.vocab, sides)
+    if groups is None:
         return False
-    graphs = []
-    for name, arity in target.functions:
-        table = n._functions[name]
-        graph = [(*args, table[args]) for args in itertools.product(main, repeat=arity)]
-        if not main.issuperset([row[-1] for row in graph]):
-            return False
-        graphs.append(graph)
-    _check_labelling_size(m)
-    if tuple(map(len, sides)) != target.side_counts:
+    _check_labelling_size(target.size)
+    if tuple(map(len, groups)) != target.counts:
         return False
-    inside = main.issuperset
-    parts = []
-    for name, count in target.relations:
-        rows = list(filter(inside, n.relations[name]))
-        if len(rows) != count:
-            return False
-        parts.append(rows)
-    index = {e: i for i, e in enumerate(main)}.__getitem__
-    groups = [[tuple(map(index, row)) for row in rows] for rows in (*parts, *graphs)]
-    groups += [[(index(e),) for e in side] for side in sides]
     rows = tuple(map(frozenset, groups))
-    return rows == target.rows or _canonical_rows(groups, m)[0] == target.rows
+    return rows == target.rows or _canonical_rows(groups, target.size)[0] == target.rows
 
 
 def part_type(s: FiniteStructure, part: frozenset[int]):
@@ -559,12 +548,7 @@ def part_type(s: FiniteStructure, part: frozenset[int]):
     """
     if s.vocab.functions:
         raise SignatureError("part types need a relational vocabulary")
-    index = {e: i for i, e in enumerate(sorted(part))}.__getitem__
-    inside = part.issuperset
-    groups = [
-        [tuple(map(index, row)) for row in s.relations[n] if inside(row)]
-        for n in s.vocab.relation_names()
-    ]
+    groups = _part_rows(s, sorted(part), s.vocab)
     return len(part), _canonical_rows(groups, len(part))[0]
 
 
@@ -871,7 +855,8 @@ def enumerate_expansions(m: FiniteStructure, tau: Vocabulary, max_raw: int = 5_0
             count=total,
             limit=max_raw,
         )
-    old = dict(zip(m.vocab.relation_names() + m.vocab.function_names(), _labelling_rows(m)))
+    names = m.vocab.relation_names() + m.vocab.function_names()
+    old = dict(zip(names, _part_rows(m, m.elements, m.vocab)))
     by_index = _interpretations(m.vocab, tau, range(k))
     seen = {}
     # the same interpretations over m's elements and over their indices, in step

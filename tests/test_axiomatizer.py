@@ -251,6 +251,19 @@ def test_round_trip_of_the_empty_class_renders_as_pinned():
     )
 
 
+@pytest.mark.parametrize("size", [3, 4])
+def test_round_trip_of_the_empty_class_passes_past_caps_2(size):
+    """The contradictory pair has no model at any caps.  Past caps 2 the
+    expanded vocabulary (cl3 has arity 4) is far past the raw cap, so the
+    pair is recognised rather than searched."""
+    void = ExplicitClass("void", (), frozenset())
+    caps = Caps(size=size)
+    theory, catalog = emit_aq_theory(void, caps=caps)
+    report = verify_presentation(void, theory, caps=caps, catalog=catalog)
+    assert report.ok
+    assert [(c.name, c.counts) for c in report.checks][2] == ("membership", {"models-found": 0})
+
+
 def test_round_trip_of_the_class_of_the_empty_structure_renders_as_pinned():
     spec = ExplicitClass("only-empty", (FiniteStructure(Vocabulary({"R": 2}), ()),), frozenset())
     theory, catalog = emit_aq_theory(spec, caps=CAPS3)

@@ -75,6 +75,22 @@ def test_eval_trace_lines_precede_verdict(chain3, tmp_path, capsys):
     ]
 
 
+def test_eval_trace_prints_a_repeated_subformula_at_each_occurrence(chain3, tmp_path, capsys):
+    atom = "(rel lt x y)"
+    text = f"(and {atom} (or {atom} (not {atom})))"
+    phi = _write(tmp_path, "phi.sexp", text)
+    assert main(["eval", chain3, phi, "--assign", "x=0,y=1", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"trace true {text}",
+        f"trace true {atom}",
+        f"trace true (or {atom} (not {atom}))",
+        f"trace true {atom}",
+        f"trace false (not {atom})",
+        f"trace true {atom}",
+        "true",
+    ]
+
+
 def test_deeply_nested_formula_is_an_input_error(chain3, tmp_path, capsys):
     depth = 2000
     phi = _write(tmp_path, "deep.sexp", "(not " * depth + "(rel lt x y)" + ")" * depth)
@@ -194,6 +210,14 @@ def test_closure_of_empty_seed(chain3, capsys):
     assert formats.parse_structure(out.rsplit("\n", 2)[0]).size == 0
 
 
+def test_closure_refuses_a_structure_over_another_vocabulary(tmp_path, capsys):
+    edges = _write(tmp_path, "edges.sexp", "(structure (vocab (rel E 2)) (universe 2) (rel E))")
+    assert main(["closure", edges, "0", LIN, "--caps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_axioms_passes_on_corpus_class(capsys):
     assert main(["verify", LIN, "--check", "axioms", "--caps", "3"]) == 0
     out = capsys.readouterr().out
@@ -238,6 +262,16 @@ def test_roundtrip_passes_at_small_caps(capsys):
         "order-reflected",
     ):
         assert name in out
+
+
+@pytest.mark.parametrize("caps", ["1", "2", "3", "4"])
+def test_roundtrip_of_a_theory_without_models_passes_at_every_caps(caps, tmp_path, capsys):
+    """x != x has no solution, so no structure has a part of one point on it."""
+    never = "(qstruct (structure (vocab) (universe 1)) v () (not (= v v)) ())"
+    spec = _write(tmp_path, "void.sexp", f"(class (theory (name void) (vocab) (sentence {never})))")
+    assert main(["roundtrip", spec, "--caps", caps]) == 0
+    out = capsys.readouterr().out
+    assert '"counts": {"models-found": 0}' in out and out.endswith('{"result": "pass"}\n')
 
 
 def test_roundtrip_reports_emission_failure(capsys):

@@ -7,10 +7,10 @@ only a part that passes them, without building a structure.  `reference_matches`
 `test_eval_reference`) builds the reduct and the induced part and compares
 canonical keys.  Verdicts, or the errors raised, must be the same: on random
 structures over relational and function vocabularies (constants and a
-binary function included), targets over the whole vocabulary or a proper
-part of it, main sets closed or not, side sets inside main or not, sizes
-0-1, and targets that share every row count with the part without being
-isomorphic to it.
+binary function included) on consecutive or scattered element ids, targets
+over the whole vocabulary or a proper part of it, main sets closed or not,
+side sets inside main or not, sizes 0-1, and targets that share every row
+count with the part without being isomorphic to it.
 """
 
 from __future__ import annotations
@@ -113,8 +113,12 @@ def sub_vocabularies(draw, vocab: Vocabulary) -> Vocabulary:
 def cases(draw):
     vocab = draw(st.sampled_from(VOCABS))
     size = draw(st.integers(1 if vocab.has_constants() else 0, 5))
-    low = draw(st.sampled_from((0, 10)))
-    elems = range(low, low + size)
+    # consecutive ids from 0 or 10, or scattered ids: a sorted sample of 10-99
+    scattered = st.lists(st.integers(10, 99), min_size=size, max_size=size, unique=True)
+    elems = draw(
+        st.sampled_from((0, 10)).map(lambda low: range(low, low + size))
+        | scattered.map(sorted)
+    )
     n = FiniteStructure(vocab, elems, *draw(tables(vocab, elems)))
     tvocab = draw(sub_vocabularies(vocab))
     seed = draw(st.sets(st.sampled_from(elems), max_size=size) if size else st.just(set()))
