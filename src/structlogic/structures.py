@@ -291,7 +291,7 @@ def _as_decorated(x) -> DecoratedStructure:
     return x if isinstance(x, DecoratedStructure) else _decorated(x, ())
 
 
-def _part_rows(s: FiniteStructure, part, vocab: Vocabulary, subsets=()):
+def _part_rows(s: FiniteStructure, part, vocab: Vocabulary, subsets=(), counts=None):
     """The rows of vocab's symbols inside part, and the subsets, as indices into part.
 
     part lists elements of s in increasing order, and vocab is a
@@ -300,7 +300,9 @@ def _part_rows(s: FiniteStructure, part, vocab: Vocabulary, subsets=()):
     then value), subsets.  Each group has a fixed row count and arity, so
     comparing two labellings' sorted groups in turn is comparing their
     (relations, functions, subsets) encodings.  None when part is not closed
-    under vocab's functions.
+    under vocab's functions, or when counts, the row count of each group,
+    are given and some group has another; a part refused on counts has no
+    relation row indexed.
     """
     index = dict(zip(part, range(len(part))))
     at = index.get
@@ -315,10 +317,10 @@ def _part_rows(s: FiniteStructure, part, vocab: Vocabulary, subsets=()):
             return None
         graphs.append(graph)
     inside = frozenset(part).issuperset
-    groups = [
-        [tuple(map(at, row)) for row in s.relations[name] if inside(row)]
-        for name in vocab.relation_names()
-    ]
+    rows = [list(filter(inside, s.relations[name])) for name in vocab.relation_names()]
+    if counts is not None and tuple(map(len, [*rows, *graphs, *subsets])) != counts:
+        return None
+    groups = [[tuple(map(at, row)) for row in group] for group in rows]
     return groups + graphs + [[(at(e),) for e in subset] for subset in subsets]
 
 
@@ -497,8 +499,8 @@ def _labelling(d: DecoratedStructure) -> tuple[DecoratedStructure, tuple[int, ..
 
 class MatchTarget:
     """A decorated structure as induces_copy compares parts with it: its size,
-    the row count of each group _part_rows gives for it, and its canonical
-    rows, None past CANONICAL_SIZE_CAP, where no part of its size can be
+    and the row count of each group _part_rows gives for it and its canonical
+    rows, both None past CANONICAL_SIZE_CAP, where no part of its size can be
     labelled.  Hashed by identity.  `vocab` is the target's vocabulary, and
     `admitted` the last structure vocabulary the evaluator checked it against.
     """
@@ -508,11 +510,13 @@ class MatchTarget:
     def __init__(self, target: DecoratedStructure):
         base = target.base
         vocab, m = base.vocab, base.size
-        groups = _part_rows(base, base.elements, vocab, target.subsets)
         self.vocab, self.admitted = vocab, None
         self.size = m
-        self.counts = tuple(map(len, groups))
-        self.rows = None if m > CANONICAL_SIZE_CAP else _canonical_rows(groups, m)[0]
+        self.counts = self.rows = None
+        if m <= CANONICAL_SIZE_CAP:
+            groups = _part_rows(base, base.elements, vocab, target.subsets)
+            self.counts = tuple(map(len, groups))
+            self.rows = _canonical_rows(groups, m)[0]
 
 
 def induces_copy(n: FiniteStructure, target: MatchTarget, main, sides: tuple) -> bool:
@@ -525,16 +529,16 @@ def induces_copy(n: FiniteStructure, target: MatchTarget, main, sides: tuple) ->
     Only n's tables of the target's symbols are read, and nothing is built.
     In turn: main's closure under the target's functions; past
     CANONICAL_SIZE_CAP, CapacityError; the row count of each relation and
-    side set.  A part that passes them all, and whose rows indexed in main's
-    order are not already the target's canonical rows, is labelled by
+    side set.  _part_rows makes the first and last refusals, the last only
+    within the cap (a target past it has no counts), before it indexes any
+    relation row.  A part that passes them all, and whose rows indexed in
+    main's order are not already the target's canonical rows, is labelled by
     _canonical_rows; the labelling memo is not touched.
     """
-    groups = _part_rows(n, main, target.vocab, sides)
+    groups = _part_rows(n, main, target.vocab, sides, target.counts)
     if groups is None:
         return False
     _check_labelling_size(target.size)
-    if tuple(map(len, groups)) != target.counts:
-        return False
     rows = tuple(map(frozenset, groups))
     return rows == target.rows or _canonical_rows(groups, target.size)[0] == target.rows
 
